@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "CapacityError",
     "PrecisionError",
+    "config_number",
     "FunctionClass",
     "NoiseSpec",
     "Model",
@@ -72,6 +73,20 @@ def trial_seed(master_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError("trial index must be nonnegative")
     return _split_mix64((_split_mix64(master_seed & _MASK64) + index) & _MASK64)
+
+
+def config_number(value, kind: type, name: str):
+    """A config field as a float or an int; anything else, a fractional int
+    included, raises ValueError naming the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -235,7 +250,12 @@ class NoiseSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "NoiseSpec":
-        return cls(doc["kind"], sigma=doc.get("sigma"), c=doc.get("c"))
+        sigma, c = doc.get("sigma"), doc.get("c")
+        return cls(
+            doc["kind"],
+            sigma=None if sigma is None else config_number(sigma, float, "noise.sigma"),
+            c=None if c is None else config_number(c, float, "noise.c"),
+        )
 
 
 def two_point_support(mean: float, c: float) -> tuple[float, float, float]:
@@ -292,31 +312,55 @@ class Model:
         return int(np.argmax(self.true_means))
 
 
-def sample_rewards(model: Model, arm: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. rewards for one arm under the model's noise."""
-    if not 0 <= arm < model.function_class.n_arms:
-        raise IndexError(f"arm {arm} out of range")
+def sample_rewards(model: Model, arm, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` i.i.d. rewards for one arm, or for each listed arm.
+
+    ``arm`` is an int or a 1-D integer array.  For an array the result holds
+    ``count`` rewards per listed arm, in the order listed, drawn in one
+    generator call; its bytes and the generator's state afterwards equal
+    those of one call per listed arm (numpy fills a long draw exactly as
+    consecutive short ones).
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    mu = float(model.true_means[arm])
+    n_arms = model.function_class.n_arms
+    if isinstance(arm, (int, np.integer)):
+        if not 0 <= arm < n_arms:
+            raise IndexError(f"arm {arm} out of range")
+        mu = float(model.true_means[arm])
+        shape = count
+    else:
+        arms = np.asarray(arm)
+        if arms.ndim != 1 or (arms.size and arms.dtype.kind not in "iu"):
+            raise ValueError("arms must be an int or a 1-D integer array")
+        if arms.size and not (0 <= arms.min() and arms.max() < n_arms):
+            raise IndexError(f"arms out of range [0, {n_arms})")
+        # one row of draws per listed arm; the column of means broadcasts
+        mu = model.true_means[arms][:, np.newaxis]
+        shape = (arms.size, count)
     kind = model.noise.kind
     if kind == "deterministic":
-        return np.full(count, mu)
-    if kind == "bernoulli":
-        return (rng.random(count) < mu).astype(float)
-    if kind == "gaussian":
-        return mu + model.noise.sigma * rng.standard_normal(count)
-    if kind == "two-point":
-        lo, hi, p_hi = two_point_support(mu, model.noise.c)
-        return np.where(rng.random(count) < p_hi, hi, lo)
-    # heavy-tail three-point: variance sigma**2 packed into rare outliers
-    s = model.noise.sigma / math.sqrt(HEAVY_TAIL_OUTLIER_PROB)
-    half = HEAVY_TAIL_OUTLIER_PROB / 2.0
-    u = rng.random(count)
-    out = np.full(count, mu)
-    out[u < half] = mu - s
-    out[u >= 1.0 - half] = mu + s
-    return out
+        rewards = np.full(shape, mu)
+    elif kind == "bernoulli":
+        rewards = (rng.random(shape) < mu).astype(float)
+    elif kind == "gaussian":
+        rewards = rng.standard_normal(shape)
+        rewards *= model.noise.sigma
+        rewards += mu
+    elif kind == "two-point":
+        # (lo, hi, p_hi) per listed arm, each a column that broadcasts like mu
+        law = np.array([two_point_support(v, model.noise.c) for v in np.ravel(mu).tolist()])
+        lo, hi, p_hi = law.reshape(-1, 3, 1).swapaxes(0, 1)
+        rewards = np.where(rng.random(shape) < p_hi, hi, lo)
+    else:
+        # heavy-tail three-point: variance sigma**2 packed into rare outliers
+        s = model.noise.sigma / math.sqrt(HEAVY_TAIL_OUTLIER_PROB)
+        half = HEAVY_TAIL_OUTLIER_PROB / 2.0
+        u = rng.random(shape)
+        rewards = np.full(shape, mu)
+        np.copyto(rewards, mu - s, where=u < half)
+        np.copyto(rewards, mu + s, where=u >= 1.0 - half)
+    return rewards.ravel()
 
 
 def sample_reward(model: Model, arm: int, rng: np.random.Generator) -> float:
@@ -371,7 +415,9 @@ class Transcript:
 
     ``arms[i]`` is the arm queried in round i+1 (rounds count from 1) and
     ``rewards[i]`` the observed reward.  ``meta`` carries learner-specific
-    diagnostics (and an ``error`` tag when a run ends abnormally).
+    diagnostics (and an ``error`` tag when a run ends abnormally).  Arrays
+    passed in are frozen in place, not copied, so the caller gives up
+    writing to them.
     """
 
     learner_name: str
@@ -382,8 +428,10 @@ class Transcript:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arms = _frozen_array(np.asarray(self.arms, dtype=np.int64), np.int64)
-        rewards = _frozen_array(np.asarray(self.rewards, dtype=float), float)
+        arms = np.asarray(self.arms, dtype=np.int64)
+        rewards = np.asarray(self.rewards, dtype=float)
+        arms.setflags(write=False)
+        rewards.setflags(write=False)
         if arms.ndim != 1 or rewards.ndim != 1 or arms.size != rewards.size:
             raise ValueError("arms and rewards must be 1-D and equal length")
         if self.output_arm < 0:

@@ -19,6 +19,7 @@ __all__ = [
     "mom_groups",
     "empirical_mean",
     "median_of_means",
+    "row_medians_of_means",
 ]
 
 DEFAULT_CM = 4.0
@@ -96,9 +97,20 @@ def median_of_means(samples, config: MoMConfig) -> float:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1:
         raise ValueError("samples must be a 1-D sequence")
+    return float(row_medians_of_means(arr[np.newaxis], config)[0])
+
+
+def row_medians_of_means(blocks, config: MoMConfig) -> np.ndarray:
+    """:func:`median_of_means` of every row of a 2-D array, in one pass.
+
+    Entry i equals ``median_of_means(blocks[i], config)`` bit for bit.
+    """
+    arr = np.asarray(blocks, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError("blocks must be a 2-D array")
     k = config.groups
-    if arr.size < k:
+    if arr.shape[1] < k:
         raise ValueError(f"need at least {k} samples for {k} groups")
-    group_size = arr.size // k
-    group_means = arr[: group_size * k].reshape(k, group_size).mean(axis=1)
-    return float(np.sort(group_means)[(k - 1) // 2])
+    group_size = arr.shape[1] // k
+    groups = arr[:, : group_size * k].reshape(arr.shape[0], k, group_size)
+    return np.sort(groups.mean(axis=2), axis=1)[:, (k - 1) // 2]

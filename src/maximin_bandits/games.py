@@ -96,6 +96,13 @@ def solve_maximin(payoff, tolerance: float = 1e-9) -> MaximinSolution:
         ratios[feasible] = tab[:n_cols, -1][feasible] / col[feasible]
         best = ratios.min()
         tied = np.flatnonzero(ratios <= best * (1.0 + 1e-12) + 1e-15)
+        if tied.size == 0:
+            # only a negative ratio (best < -1e-3) can fall below its own
+            # threshold, so the basis has gone infeasible
+            raise RuntimeError(
+                f"simplex lost primal feasibility after {iterations} pivots "
+                f"(min rhs {tab[:n_cols, -1].min():.3g})"
+            )
         leave = int(min(tied, key=lambda i: basis[i]))
 
         pivot = tab[leave, enter]

@@ -31,6 +31,7 @@ from .core import (
     Model,
     NoiseSpec,
     Transcript,
+    config_number,
     gap_matrix,
     trial_seed,
 )
@@ -228,6 +229,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        true_f = doc.get("true_function")
         return cls(
             class_spec=doc["class"],
             noise=NoiseSpec.from_json(doc["noise"]),
@@ -235,7 +237,7 @@ class ExperimentConfig:
             params=LearnerParams.from_json(doc["params"]),
             trials=int(doc.get("trials", 100)),
             seed=int(doc.get("seed", 0)),
-            true_function=doc.get("true_function"),
+            true_function=None if true_f is None else config_number(true_f, int, "true_function"),
             experiment_id=doc.get("experiment_id"),
             out_path=doc.get("out"),
             format=doc.get("format", "csv"),
@@ -304,6 +306,11 @@ class MonteCarloResult:
 
 def _prepare_context(config: ExperimentConfig) -> _RunContext:
     fclass, meta = build_function_class(config.class_spec)
+    true_f = config.true_function
+    if true_f is not None and not 0 <= true_f < fclass.n_functions:
+        raise ValueError(
+            f"true_function {true_f} out of range for a class of {fclass.n_functions} functions"
+        )
     if config.learner in _HALF_ALPHA_LEARNERS:
         cert = games.gamma(fclass, config.params.alpha / 2.0)
     else:

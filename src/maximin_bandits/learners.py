@@ -36,6 +36,7 @@ from .core import (
     FunctionClass,
     Model,
     Transcript,
+    config_number,
     gap_matrix,
     sample_rewards,
 )
@@ -45,9 +46,10 @@ from .estimators import (
     DEFAULT_CM,
     MoMConfig,
     chernoff_sample_count,
-    median_of_means,
+    median_of_means,  # noqa: F401  (perfbench counts calls made through this name)
     median_of_means_sample_count,
     mom_groups,
+    row_medians_of_means,
 )
 
 __all__ = [
@@ -61,16 +63,7 @@ __all__ = [
     "OnlineRegressionOracle",
     "online_regression_weights",
     "est_bound",
-    "LEARNER_NAMES",
 ]
-
-LEARNER_NAMES = (
-    "empirical-mean",
-    "median-of-means",
-    "tree-descent",
-    "non-adaptive-uniform",
-    "e2d",
-)
 
 #: Descent threshold for the tree class: branch markers sit at 1/3 and 2/3,
 #: so testing the node's empirical mean against 1/2 leaves a 1/6 margin.
@@ -127,17 +120,17 @@ class LearnerParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LearnerParams":
-        doc = dict(doc)
-        horizon = doc.get("horizon", doc.get("T"))
-        c_m = doc.get("c_m", doc.get("cM"))
+        def optional(key, kind, value):
+            return None if value is None else config_number(value, kind, f"params.{key}")
+
         return cls(
-            alpha=float(doc["alpha"]),
-            delta=float(doc["delta"]),
-            sigma=doc.get("sigma"),
-            c_m=c_m,
-            horizon=None if horizon is None else int(horizon),
-            budget=doc.get("budget"),
-            reps_per_arm=int(doc.get("reps_per_arm", 1)),
+            alpha=config_number(doc["alpha"], float, "params.alpha"),
+            delta=config_number(doc["delta"], float, "params.delta"),
+            sigma=optional("sigma", float, doc.get("sigma")),
+            c_m=optional("c_m", float, doc.get("c_m", doc.get("cM"))),
+            horizon=optional("horizon", int, doc.get("horizon", doc.get("T"))),
+            budget=optional("budget", int, doc.get("budget")),
+            reps_per_arm=config_number(doc.get("reps_per_arm", 1), int, "params.reps_per_arm"),
         )
 
 
@@ -165,16 +158,14 @@ def _witness_sampling_phase(
 
 
 def _query_blocks(model: Model, arms, n_per: int, rng: np.random.Generator):
-    """Query each listed arm ``n_per`` times consecutively; return the flat
-    reward log and one estimate row per block (estimates filled by caller)."""
+    """Query each listed arm ``n_per`` times consecutively, in one draw.
+
+    Returns the flat arm and reward logs and the rewards viewed as one
+    ``n_per``-long block per listed arm.
+    """
     arms = np.asarray(arms, dtype=np.int64)
-    rewards = np.empty(arms.size * n_per)
-    blocks = np.empty((arms.size, n_per))
-    for i, arm in enumerate(arms):
-        block = sample_rewards(model, int(arm), n_per, rng)
-        blocks[i] = block
-        rewards[i * n_per : (i + 1) * n_per] = block
-    return np.repeat(arms, n_per), rewards, blocks
+    rewards = sample_rewards(model, arms, n_per, rng)
+    return np.repeat(arms, n_per), rewards, rewards.reshape(arms.size, n_per)
 
 
 def run_empirical_mean_learner(
@@ -250,7 +241,7 @@ def run_median_of_means_learner(
     rng = np.random.default_rng(seed)
     drawn = p_star.sample(rng, m)
     arms_log, rewards, blocks = _query_blocks(model, drawn, n_per, rng)
-    estimates = np.array([median_of_means(block, mom_cfg) for block in blocks])
+    estimates = row_medians_of_means(blocks, mom_cfg)
     winner = int(drawn[int(np.argmax(estimates))])
     return Transcript(
         learner_name="median-of-means",
@@ -345,24 +336,7 @@ def run_non_adaptive_uniform(
     # the whole schedule is committed here, before the first reward
     positions = rng.integers(0, n_arms, size=budget)
     arms_log = np.repeat(positions, reps_per_arm)
-
-    if arms_log.size == 0:
-        return Transcript(
-            learner_name="non-adaptive-uniform",
-            seed=seed,
-            arms=np.empty(0, dtype=np.int64),
-            rewards=np.empty(0),
-            output_arm=0,
-            meta={"budget": budget, "reps_per_arm": reps_per_arm},
-        )
-
-    rewards = np.empty(arms_log.size)
-    offset = 0
-    for pos in positions:
-        rewards[offset : offset + reps_per_arm] = sample_rewards(
-            model, int(pos), reps_per_arm, rng
-        )
-        offset += reps_per_arm
+    rewards = sample_rewards(model, positions, reps_per_arm, rng)
 
     sums = np.zeros(n_arms)
     counts = np.zeros(n_arms)
@@ -518,17 +492,15 @@ def run_e2d(
         q = q_hist[t]
         fresh = OnlineRegressionOracle(fclass)
         tilde_sum = np.zeros(fclass.n_arms)
+        # the branch's arms are committed before its first reward
         branch_arms = q.sample(rng, J)
-        branch_rewards = np.empty(J)
-        for j in range(J):
+        branch_rewards = sample_rewards(model, branch_arms, 1, rng)
+        for arm, reward in zip(branch_arms.tolist(), branch_rewards.tolist()):
             tilde_sum += fresh.predict()
-            arm = int(branch_arms[j])
-            reward = float(sample_rewards(model, arm, 1, rng)[0])
-            branch_rewards[j] = reward
             fresh.update(arm, reward)
         tilde = tilde_sum / J
         scores[branch] = float(q.probs @ (fhat_hist[t] - tilde) ** 2)
-        arms_chunks.append(branch_arms.astype(np.int64))
+        arms_chunks.append(branch_arms)
         rewards_chunks.append(branch_rewards)
 
     best_branch = int(np.argmin(scores))

@@ -130,6 +130,14 @@ def test_noise_spec_json_round_trip():
         assert NoiseSpec.from_json(spec.to_json()) == spec
 
 
+def test_noise_spec_json_rejects_non_numbers():
+    with pytest.raises(ValueError, match="noise.sigma must be a number"):
+        NoiseSpec.from_json({"kind": "gaussian", "sigma": "wide"})
+    with pytest.raises(ValueError, match="noise.c must be a number"):
+        NoiseSpec.from_json({"kind": "two-point", "c": [0.2]})
+    assert NoiseSpec.from_json({"kind": "heavy-tail", "sigma": 2}).sigma == 2.0
+
+
 def test_variance_bounds():
     assert NoiseSpec.deterministic().variance_bound(0.4) == 0.0
     assert NoiseSpec.bernoulli().variance_bound(0.5) == pytest.approx(0.25)
@@ -234,6 +242,61 @@ def test_sample_rewards_rejects_bad_count():
         sample_rewards(m, 0, 0, np.random.default_rng(0))
 
 
+ALL_NOISES = [
+    NoiseSpec.deterministic(),
+    NoiseSpec.bernoulli(),
+    NoiseSpec.gaussian(0.5),
+    NoiseSpec.two_point(0.2),
+    NoiseSpec.two_point(0.0),  # zero-width support: every reward is the mean
+    NoiseSpec.two_point(0.5),
+    NoiseSpec.heavy_tail(2.0),
+]
+
+
+def interior_class():
+    # means at 0 and 1 exercise the two-point boundary substitution
+    return FunctionClass(np.array([[0.0, 0.35, 0.8, 1.0, 0.1]]))
+
+
+@pytest.mark.parametrize("noise", ALL_NOISES, ids=repr)
+@pytest.mark.parametrize("count", [1, 7])
+def test_array_arms_equal_concatenated_per_arm_draws(noise, count):
+    model = Model(interior_class(), 0, noise)
+    arms = np.array([2, 0, 4, 4, 1, 3, 2, 1, 0, 3], dtype=np.int64)
+    batch_rng = np.random.default_rng(1234)
+    loop_rng = np.random.default_rng(1234)
+    batched = sample_rewards(model, arms, count, batch_rng)
+    looped = np.concatenate([sample_rewards(model, int(a), count, loop_rng) for a in arms])
+    assert batched.dtype == looped.dtype == np.float64
+    assert batched.tobytes() == looped.tobytes()
+    # the generator ends in the same state
+    assert batch_rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize("noise", ALL_NOISES, ids=repr)
+def test_empty_arm_array_draws_nothing(noise):
+    model = Model(interior_class(), 0, noise)
+    rng = np.random.default_rng(5)
+    out = sample_rewards(model, np.empty(0, dtype=np.int64), 3, rng)
+    assert out.shape == (0,)
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+def test_sample_rewards_rejects_bad_arm_arrays():
+    model = Model(small_class(), 0, NoiseSpec.bernoulli())
+    rng = np.random.default_rng(0)
+    with pytest.raises(IndexError):
+        sample_rewards(model, np.array([0, 3]), 1, rng)
+    with pytest.raises(IndexError):
+        sample_rewards(model, np.array([-1, 0]), 1, rng)
+    with pytest.raises(ValueError):
+        sample_rewards(model, np.array([0.0, 1.0]), 1, rng)
+    with pytest.raises(ValueError):
+        sample_rewards(model, np.array([[0, 1]]), 1, rng)
+    with pytest.raises(ValueError):
+        sample_rewards(model, np.array([0, 1]), 0, rng)
+
+
 # ---------------------------------------------------------------------------
 # ArmDistribution
 
@@ -282,6 +345,29 @@ def test_transcript_accounting():
     assert t.total_queries == 3
     assert list(t.rounds) == [1, 2, 3]
     assert t.records()[2] == (3, 1, 0.5)
+
+
+def test_transcript_freezes_arrays_in_place():
+    arms = np.array([0, 1, 1], dtype=np.int64)
+    rewards = np.array([0.0, 1.0, 0.5])
+    t = Transcript(learner_name="x", seed=0, arms=arms, rewards=rewards, output_arm=1)
+    assert t.arms is arms and t.rewards is rewards
+    assert not arms.flags.writeable and not rewards.flags.writeable
+    # lists and other dtypes are converted
+    t = Transcript(learner_name="x", seed=0, arms=[0, 2], rewards=[1, 0], output_arm=0)
+    assert t.arms.dtype == np.int64 and t.rewards.dtype == np.float64
+    assert not t.arms.flags.writeable
+
+
+def test_function_class_and_arm_distribution_copy_their_input():
+    means = np.array([[0.2, 0.8]])
+    fc = FunctionClass(means)
+    means[0, 0] = 0.9
+    assert fc.means[0, 0] == 0.2 and means.flags.writeable
+    probs = np.array([0.5, 0.5])
+    dist = ArmDistribution(probs)
+    probs[0] = 0.0
+    assert dist.probs[0] == 0.5 and probs.flags.writeable
 
 
 def test_transcript_rejects_mismatched_lengths():

@@ -80,6 +80,15 @@ def test_solver_rejects_bad_inputs():
         solve_maximin(np.array([[np.nan, 1.0]]))
 
 
+def test_lost_feasibility_is_a_solver_error():
+    # the 545-point net drives a basic variable to -0.035 after 204 pivots;
+    # the ratio test's tie set is then empty, which used to escape as an
+    # unrelated ValueError from min()
+    fc = make_linear_net_class(3, 0.3)
+    with pytest.raises(RuntimeError, match=r"lost primal feasibility after 204 pivots \(min rhs -0\.0348\)"):
+        gamma(fc, 0.3)
+
+
 def test_duality_gap_reported_by_witnesses():
     rng = np.random.default_rng(0)
     for _ in range(20):

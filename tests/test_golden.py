@@ -1,0 +1,176 @@
+"""Pinned output digests of small runs.
+
+Criterion 11 compares two executions of the same code, so it cannot notice
+a change to the random-number stream.  These digests were recorded from the
+per-arm sampling code; any change to how rewards are drawn, estimated or
+persisted that alters a single output byte fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from maximin_bandits.cli import main
+from maximin_bandits.core import FunctionClass, Model, NoiseSpec
+from maximin_bandits.environments import make_tree_class
+from maximin_bandits.learners import (
+    LearnerParams,
+    run_e2d,
+    run_empirical_mean_learner,
+    run_median_of_means_learner,
+    run_non_adaptive_uniform,
+    run_tree_descent,
+)
+
+#: Interior means, so every noise kind but ``deterministic`` draws random
+#: rewards (the tree classes put 0/1 means on every leaf arm).
+MEANS = [
+    [0.70, 0.40, 0.35, 0.30, 0.45],
+    [0.40, 0.70, 0.35, 0.45, 0.30],
+    [0.35, 0.40, 0.70, 0.30, 0.45],
+    [0.45, 0.30, 0.40, 0.70, 0.35],
+]
+INLINE = {"means": MEANS}
+
+#: name -> (experiment config, output format, sha256 of the output file)
+GOLDEN = {
+    "empirical-mean-bernoulli": (
+        {
+            "class": INLINE, "noise": {"kind": "bernoulli"}, "learner": "empirical-mean",
+            "params": {"alpha": 0.2, "delta": 0.1}, "trials": 20, "seed": 11,
+        },
+        "csv",
+        "38b38190467ed4f22c4015bfb475246065172b405e6a259655148cbd78fc8973",
+    ),
+    "empirical-mean-two-point": (
+        {
+            "class": INLINE, "noise": {"kind": "two-point", "c": 0.25},
+            "learner": "empirical-mean", "params": {"alpha": 0.2, "delta": 0.1},
+            "trials": 20, "seed": 12,
+        },
+        "csv",
+        "68b3d708a58256c5bcce87d36146331ee1a2618d4c15b83153f08e2c726be8c8",
+    ),
+    # delta 0.1 gives 3 groups (odd K)
+    "median-of-means-gaussian": (
+        {
+            "class": INLINE, "noise": {"kind": "gaussian", "sigma": 0.3},
+            "learner": "median-of-means",
+            "params": {"alpha": 0.2, "delta": 0.1, "sigma": 0.3}, "trials": 20, "seed": 13,
+        },
+        "csv",
+        "ce8c4c0e66496e3c852c7befacb56a05ba919a3a8684c7febf4c8d77c9994694",
+    ),
+    # delta 0.05 gives 4 groups (even K, lower median)
+    "median-of-means-heavy-tail": (
+        {
+            "class": INLINE, "noise": {"kind": "heavy-tail", "sigma": 0.3},
+            "learner": "median-of-means",
+            "params": {"alpha": 0.2, "delta": 0.05, "sigma": 0.3}, "trials": 20, "seed": 14,
+        },
+        "csv",
+        "15eab0ef6438135dc48b57d44e18e803c168a6ca8ae4f70ccf75782d5c70a4b0",
+    ),
+    "non-adaptive-uniform-deterministic": (
+        {
+            "class": {"constructor": "tree", "depth": 3, "bucket_size": 1},
+            "noise": {"kind": "deterministic"}, "learner": "non-adaptive-uniform",
+            "params": {"alpha": 0.2, "delta": 0.1, "budget": 6, "reps_per_arm": 2},
+            "trials": 50, "seed": 15,
+        },
+        "csv",
+        "8c5e8c4c56d3c2fc03b3f33271c997b8a4bb87bb1d6f26efcd1a6c64288d6252",
+    ),
+    "e2d-t400": (
+        {
+            "class": INLINE, "noise": {"kind": "bernoulli"}, "learner": "e2d",
+            "params": {"alpha": 0.2, "delta": 0.2, "horizon": 400}, "trials": 5, "seed": 16,
+        },
+        "json",
+        "260fb253929450f87ceff1e353494cd5d150ebf205ce771ac172cc3f1c4342e9",
+    ),
+}
+
+
+def run_digest(tmp_path, capsys, name) -> str:
+    doc, fmt, _ = GOLDEN[name]
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({"experiment_id": name, **doc}))
+    out = tmp_path / f"{name}.{fmt}"
+    assert main(["run", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    capsys.readouterr()
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_output_matches_pinned_digest(tmp_path, capsys, name):
+    assert run_digest(tmp_path, capsys, name) == GOLDEN[name][2]
+
+
+# The records above show only which arm each trial output.  The transcripts
+# below pin every queried arm and every reward of one run per learner.
+
+NOISES = {
+    "bernoulli": NoiseSpec.bernoulli(),
+    "deterministic": NoiseSpec.deterministic(),
+    "two-point": NoiseSpec.two_point(0.25),
+    "gaussian": NoiseSpec.gaussian(0.3),
+    "heavy-tail": NoiseSpec.heavy_tail(0.3),
+}
+
+
+def run_transcript(name: str):
+    learner, kind = name.split(":")
+    if learner == "tree-descent":
+        fclass, meta = make_tree_class(3, 2)
+        model = Model(fclass, 5, NOISES[kind])
+        return run_tree_descent(meta, fclass, LearnerParams(alpha=0.2, delta=0.1), model, seed=24)
+    fclass = FunctionClass(MEANS)
+    model = Model(fclass, 2, NOISES[kind])
+    params = LearnerParams(alpha=0.2, delta=0.05, sigma=0.3, horizon=400)
+    if learner == "empirical-mean":
+        return run_empirical_mean_learner(fclass, params, model, seed=21)
+    if learner == "median-of-means":
+        return run_median_of_means_learner(fclass, params, model, seed=22)
+    if learner == "non-adaptive-uniform":
+        return run_non_adaptive_uniform(fclass, 30, 3, model, seed=23)
+    return run_e2d(fclass, params, model, seed=25)
+
+
+#: learner:noise -> sha256 of the transcript's arms, rewards and output arm
+GOLDEN_TRANSCRIPTS = {
+    "empirical-mean:bernoulli":
+        "c8777d780e4a328fa73bdb1a5597b138897a71227b6fd232cefde90602ad5ac2",
+    "empirical-mean:deterministic":
+        "d0bf717fe814486aefc91fa999a161c6b1566d94ea45e6805553471f49fc99b5",
+    "empirical-mean:two-point":
+        "f2b439c8e78a485eff675985cf6ae0b0ea4c7491cb10700bcf5e1a464ed357a5",
+    "median-of-means:gaussian":
+        "39dcd5878c281f137062afcde1388f57ff0cf8712f6411e9ecdd0eccebace533",
+    "median-of-means:heavy-tail":
+        "052c9841dd9e9d684e656e91ab409179e50bb986ecaa14986a1e3313a530a157",
+    "median-of-means:two-point":
+        "a3b9ca582037c46a2c84fc3d5363d5df68052ca56f2c8bee8ce511d36a421eb0",
+    "non-adaptive-uniform:gaussian":
+        "6915ab683aa6728c17a9ec45a7f2d0a8a0f6947a2b1fd8178c0955b0726b0a1d",
+    "non-adaptive-uniform:heavy-tail":
+        "aedec10feb0f8580cd3a5e50ef38fbdb69bec8349b1e0e13e275dfae4ccd2229",
+    "tree-descent:bernoulli":
+        "94499b9ee4602afea16ecea27293ff9a2a2ecf35caca8f7a7f3d96dcf30e871d",
+    "e2d:bernoulli":
+        "ba0decd5202a719551c5f0e33b863f9b85c88570902c6998e6300e49425129ba",
+    "e2d:two-point":
+        "351e259ef3fefe78757bf1c71f25ba70c8f1976d69a0d4f2cf8346fc29368913",
+}
+
+
+def transcript_digest(name: str) -> str:
+    t = run_transcript(name)
+    payload = t.arms.tobytes() + t.rewards.tobytes() + str(t.output_arm).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRANSCRIPTS))
+def test_transcript_matches_pinned_digest(name):
+    assert transcript_digest(name) == GOLDEN_TRANSCRIPTS[name]

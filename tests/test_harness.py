@@ -306,6 +306,34 @@ def test_sweep_grid_and_errors(tmp_path):
     assert len(lines) == 5
 
 
+def test_sweep_records_non_numeric_params_and_bad_true_function():
+    cfg = tree_config(
+        learner="median-of-means",
+        params=LearnerParams(alpha=0.2, delta=0.1, sigma=0.5),
+        trials=2,
+        grid={"params.sigma": [0.5, "wide"]},
+    )
+    errors = [cell["error"] for cell in sweep(cfg).cells]
+    assert errors[0] == ""
+    assert "params.sigma must be a number, got 'wide'" in errors[1]
+    cfg = tree_config(trials=2, grid={"true_function": [0, 4]})
+    errors = [cell["error"] for cell in sweep(cfg).cells]
+    assert errors[0] == ""
+    assert "true_function 4 out of range" in errors[1]
+
+
+def test_monte_carlo_rejects_out_of_range_true_function():
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            monte_carlo(tree_config(true_function=bad, trials=2))
+    with pytest.raises(ValueError, match="true_function must be an integer"):
+        ExperimentConfig.from_json({
+            "class": {"constructor": "tree", "depth": 2, "bucket_size": 1},
+            "noise": {"kind": "bernoulli"}, "learner": "empirical-mean",
+            "params": {"alpha": 0.2, "delta": 0.1}, "true_function": 1.5,
+        })
+
+
 def test_sweep_requires_grid():
     with pytest.raises(ValueError):
         sweep(tree_config())

@@ -4,9 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from maximin_bandits.core import ArmDistribution, Model, NoiseSpec
+from maximin_bandits.core import ArmDistribution, FunctionClass, Model, NoiseSpec, sample_rewards
 from maximin_bandits.environments import make_k_armed, make_singletons, make_tree_class
-from maximin_bandits.estimators import chernoff_sample_count, mom_groups
+from maximin_bandits.estimators import (
+    MoMConfig,
+    chernoff_sample_count,
+    median_of_means,
+    mom_groups,
+    row_medians_of_means,
+)
 from maximin_bandits.learners import (
     LearnerParams,
     OnlineRegressionOracle,
@@ -32,6 +38,17 @@ def test_learner_params_validation():
         LearnerParams(alpha=0.2, delta=1.0)
     with pytest.raises(ValueError):
         LearnerParams(alpha=0.2, delta=0.1, sigma=-1.0)
+
+
+def test_learner_params_json_rejects_non_numbers():
+    base = {"alpha": 0.2, "delta": 0.1}
+    for key, bad in [("sigma", "wide"), ("c_m", [4]), ("budget", "ten"), ("budget", 2.5),
+                     ("horizon", "T"), ("reps_per_arm", 1.5), ("alpha", None)]:
+        with pytest.raises(ValueError, match=f"params.{key}"):
+            LearnerParams.from_json({**base, key: bad})
+    p = LearnerParams.from_json({**base, "sigma": 1, "c_m": "2", "budget": 3.0})
+    assert (p.sigma, p.c_m, p.budget) == (1.0, 2.0, 3)
+    assert type(p.sigma) is float and type(p.budget) is int
 
 
 def test_learner_params_json_aliases():
@@ -154,6 +171,42 @@ def test_mom_learner_rejects_schedule_smaller_than_groups():
     model = Model(fclass, 0, NoiseSpec.deterministic())
     with pytest.raises(ValueError):
         run_median_of_means_learner(fclass, params, model, seed=0)
+
+
+ALL_NOISES = [
+    NoiseSpec.deterministic(),
+    NoiseSpec.bernoulli(),
+    NoiseSpec.gaussian(0.5),
+    NoiseSpec.two_point(0.2),
+    NoiseSpec.heavy_tail(2.0),
+]
+
+
+@pytest.mark.parametrize("noise", ALL_NOISES, ids=lambda n: n.kind)
+@pytest.mark.parametrize("groups", [3, 4])
+@pytest.mark.parametrize("n_per", [12, 14])
+def test_row_medians_equal_per_block_median_of_means(noise, groups, n_per):
+    # odd and even K; n_per = 14 leaves a remainder that both must drop
+    model = Model(FunctionClass(np.array([[0.1, 0.45, 0.9]])), 0, noise)
+    arms = np.array([0, 2, 1, 1, 2, 0, 0], dtype=np.int64)
+    blocks = sample_rewards(model, arms, n_per, np.random.default_rng(8)).reshape(-1, n_per)
+    cfg = MoMConfig(groups=groups)
+    batched = row_medians_of_means(blocks, cfg)
+    looped = np.array([median_of_means(block, cfg) for block in blocks])
+    # the per-block formula median_of_means used before it was batched
+    size = n_per // groups
+    reference = np.array([
+        np.sort(block[: size * groups].reshape(groups, size).mean(axis=1))[(groups - 1) // 2]
+        for block in blocks
+    ])
+    assert batched.tobytes() == looped.tobytes() == reference.tobytes()
+
+
+def test_row_medians_of_means_rejects_short_rows():
+    with pytest.raises(ValueError):
+        row_medians_of_means(np.zeros((2, 2)), MoMConfig(groups=3))
+    with pytest.raises(ValueError):
+        row_medians_of_means(np.zeros(6), MoMConfig(groups=3))
 
 
 def test_mom_learner_heavy_tail_success():
