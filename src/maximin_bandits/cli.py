@@ -57,12 +57,8 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_dec(args) -> int:
     fclass, _ = build_function_class(_load_json(args.config))
-    if args.anchors == "vertices":
-        import numpy as np
-
-        anchors = [np.eye(fclass.n_functions)[f] for f in range(fclass.n_functions)]
-    elif args.anchors == "vertices+midpoints":
-        anchors = default_anchor_candidates(fclass)
+    if args.anchors in ("vertices", "vertices+midpoints"):
+        anchors = default_anchor_candidates(fclass, include_midpoints=args.anchors != "vertices")
     else:
         doc = _load_json(args.anchors)
         anchors = doc["anchors"] if isinstance(doc, dict) else doc

@@ -224,7 +224,8 @@ def dec_at(
 
 
 def default_anchor_candidates(fclass: FunctionClass, include_midpoints: bool = True) -> list[np.ndarray]:
-    """Vertices of the class's mixture simplex, pairwise midpoints, centroid."""
+    """Vertices of the class's mixture simplex, then (``include_midpoints``)
+    pairwise midpoints and the centroid."""
     n = fclass.n_functions
     anchors = [np.eye(n)[i] for i in range(n)]
     if include_midpoints:

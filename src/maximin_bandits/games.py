@@ -49,7 +49,7 @@ class MaximinSolution:
     iterations: int
 
 
-def solve_maximin(payoff, tolerance: float = 1e-9) -> MaximinSolution:
+def solve_maximin(payoff) -> MaximinSolution:
     """Solve the matrix game max_p min_rows (B p) exactly.
 
     The payoff matrix is shifted to be strictly positive, the row player's
@@ -64,8 +64,6 @@ def solve_maximin(payoff, tolerance: float = 1e-9) -> MaximinSolution:
         raise ValueError("payoff must be a nonempty matrix")
     if not np.all(np.isfinite(B)):
         raise ValueError("payoff entries must be finite")
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
     n_rows, n_cols = B.shape
 
     shift = 1.0 - min(0.0, float(B.min()))
@@ -180,8 +178,10 @@ def gamma(fclass: FunctionClass, alpha: float, tolerance: float = 1e-9) -> Gamma
     Always positive for a finite class: the uniform mixture covers every
     function with probability at least 1/arms.
     """
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
     B = gap_matrix(fclass, alpha).astype(float)
-    sol = solve_maximin(B, tolerance)
+    sol = solve_maximin(B)
     coverage = B @ sol.p.probs
     cert = GammaCertificate(
         value=float(sol.value),

@@ -5,9 +5,6 @@ the derived seed ``trial_seed(master, i)``, records are persisted in trial
 order, and repeated executions produce byte-identical output files.  Wall
 times are measured only when ``record_runtime`` is set, because persisted
 timings would break reproducibility; by default the runtime column is 0.
-
-Workers: trials run on a thread pool capped by the ``MB_THREADS`` environment
-variable (default 1); results are identical to the serial order.
 """
 
 from __future__ import annotations
@@ -17,9 +14,7 @@ import io
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,7 +58,6 @@ __all__ = [
     "tree_descent_prober",
     "fixed_arm_prober",
     "witness_prober",
-    "worker_count",
 ]
 
 CSV_COLUMNS = [
@@ -87,14 +81,6 @@ CSV_COLUMNS = [
 CERTIFY_BUDGET_CAP = 20
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-
-def worker_count() -> int:
-    try:
-        n = int(os.environ.get("MB_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -181,14 +167,20 @@ def build_function_class(spec: dict) -> tuple[FunctionClass, TreeMeta | None]:
     if "means" in spec:
         return FunctionClass.from_json(spec), None
     ctor = spec.get("constructor")
+
+    def number(name: str, kind: type = int):
+        if name not in spec:
+            raise ValueError(f"class spec {ctor!r} requires class.{name}")
+        return config_number(spec[name], kind, f"class.{name}")
+
     if ctor == "k-armed":
-        return make_k_armed(int(spec["k"])), None
+        return make_k_armed(number("k")), None
     if ctor == "singletons":
-        return make_singletons(int(spec["n"])), None
+        return make_singletons(number("n")), None
     if ctor == "tree":
-        return make_tree_class(int(spec["depth"]), int(spec["bucket_size"]))
+        return make_tree_class(number("depth"), number("bucket_size"))
     if ctor == "linear-net":
-        return make_linear_net_class(int(spec["dimension"]), float(spec["alpha"])), None
+        return make_linear_net_class(number("dimension"), number("alpha", float)), None
     raise ValueError(f"unknown class spec {spec!r}")
 
 
@@ -326,7 +318,9 @@ def _prepare_context(config: ExperimentConfig) -> _RunContext:
     )
 
 
-def _run_trial(ctx: _RunContext, index: int) -> TrialRecord:
+def _run_trial(ctx: _RunContext, index: int, learner_stream: int = 1) -> TrialRecord:
+    """Trial ``index`` of ``ctx``: the model row comes from stream 0 of the
+    trial seed, the learner from stream ``learner_stream``."""
     config = ctx.config
     ts = trial_seed(config.seed, index)
     model_rng = np.random.default_rng(trial_seed(ts, 0))
@@ -335,36 +329,20 @@ def _run_trial(ctx: _RunContext, index: int) -> TrialRecord:
     else:
         true_f = int(config.true_function)
     model = Model(ctx.fclass, true_f, config.noise)
-    learner_seed = trial_seed(ts, 1)
 
     started = time.perf_counter() if config.record_runtime else 0.0
-    error = ""
     try:
-        transcript = _DISPATCH[config.learner](ctx, model, learner_seed)
+        transcript = _DISPATCH[config.learner](ctx, model, trial_seed(ts, learner_stream))
     except (ValueError, RuntimeError) as exc:
         # contract violations surface as failed trials tagged with the reason
-        elapsed = (time.perf_counter() - started) * 1e3 if config.record_runtime else 0.0
-        return TrialRecord(
-            experiment_id=ctx.experiment_id,
-            seed=ts,
-            trial=index,
-            learner=config.learner,
-            class_name=ctx.fclass.family,
-            alpha=config.params.alpha,
-            delta=config.params.delta,
-            queries=0,
-            success=False,
-            output_arm=-1,
-            gamma_value=ctx.gamma_value,
-            runtime_ms=elapsed,
-            error=str(exc),
-        )
+        queries, success, output_arm, error = 0, False, -1, str(exc)
+    else:
+        row = model.true_means
+        queries = transcript.total_queries
+        output_arm = int(transcript.output_arm)
+        success = bool(row.max() - row[output_arm] <= config.params.alpha)
+        error = str(transcript.meta.get("error", ""))
     elapsed = (time.perf_counter() - started) * 1e3 if config.record_runtime else 0.0
-
-    row = model.true_means
-    success = bool(row.max() - row[transcript.output_arm] <= config.params.alpha)
-    if "error" in transcript.meta:
-        error = str(transcript.meta["error"])
     return TrialRecord(
         experiment_id=ctx.experiment_id,
         seed=ts,
@@ -373,9 +351,9 @@ def _run_trial(ctx: _RunContext, index: int) -> TrialRecord:
         class_name=ctx.fclass.family,
         alpha=config.params.alpha,
         delta=config.params.delta,
-        queries=transcript.total_queries,
+        queries=queries,
         success=success,
-        output_arm=int(transcript.output_arm),
+        output_arm=output_arm,
         gamma_value=ctx.gamma_value,
         runtime_ms=elapsed,
         error=error,
@@ -386,19 +364,12 @@ def monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
     """Run ``config.trials`` independent seeded trials and aggregate.
 
     Records are produced (and persisted, when ``out_path`` is set) in trial
-    order regardless of the worker count, so output bytes depend only on
-    (config, seed).  The reported half-width is the 99% normal-approximation
-    interval of the success frequency.
+    order, so output bytes depend only on (config, seed).  The reported
+    half-width is the 99% normal-approximation interval of the success
+    frequency.
     """
     ctx = _prepare_context(config)
-    indices = range(config.trials)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda i: _run_trial(ctx, i), indices))
-    else:
-        records = [_run_trial(ctx, i) for i in indices]
-    records.sort(key=lambda r: r.trial)
+    records = [_run_trial(ctx, i) for i in range(config.trials)]
 
     successes = sum(1 for r in records if r.success)
     rate = successes / len(records)
@@ -613,76 +584,42 @@ def adaptivity_experiment(
     where any non-adaptive learner must fail at least half the time, while
     descent needs only logarithmically many queries in the class size.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    descent = ExperimentConfig(
+        class_spec={"constructor": "tree", "depth": depth, "bucket_size": 1},
+        noise=NoiseSpec.deterministic(),
+        learner="tree-descent",
+        params=LearnerParams(alpha=alpha, delta=delta),
+        trials=trials,
+        seed=seed,
+        experiment_id=f"adaptivity-d{depth}-tree-descent",
+    )
     fclass, meta = make_tree_class(depth, 1)
     cert = games.gamma(fclass, alpha)
     budget = int(math.floor(1.0 / (10.0 * cert.value)))
-    noise = NoiseSpec.deterministic()
-    params = LearnerParams(alpha=alpha, delta=delta)
+    fixed = replace(
+        descent,
+        learner="non-adaptive-uniform",
+        params=replace(descent.params, budget=budget),
+        experiment_id=f"adaptivity-d{depth}-non-adaptive",
+    )
 
-    adaptive_records = []
-    non_adaptive_records = []
-    adaptive_hits = 0
-    non_adaptive_misses = 0
-    query_total = 0
-    for i in range(trials):
-        ts = trial_seed(seed, i)
-        model_rng = np.random.default_rng(trial_seed(ts, 0))
-        true_f = int(model_rng.integers(fclass.n_functions))
-        model = Model(fclass, true_f, noise)
-        row = model.true_means
+    def records(config: ExperimentConfig, learner_stream: int) -> list:
+        ctx = _RunContext(config, fclass, meta, None, cert.value, config.experiment_id)
+        return [_run_trial(ctx, i, learner_stream) for i in range(trials)]
 
-        t_adaptive = run_tree_descent(meta, fclass, params, model, trial_seed(ts, 1))
-        ok = bool(row.max() - row[t_adaptive.output_arm] <= alpha)
-        adaptive_hits += ok
-        query_total += t_adaptive.total_queries
-        adaptive_records.append(
-            TrialRecord(
-                experiment_id=f"adaptivity-d{depth}-tree-descent",
-                seed=ts,
-                trial=i,
-                learner="tree-descent",
-                class_name=fclass.family,
-                alpha=alpha,
-                delta=delta,
-                queries=t_adaptive.total_queries,
-                success=ok,
-                output_arm=int(t_adaptive.output_arm),
-                gamma_value=cert.value,
-                runtime_ms=0.0,
-            )
-        )
+    # both learners face the same model in each trial (stream 0)
+    adaptive_records = records(descent, 1)
+    non_adaptive_records = records(fixed, 2)
 
-        t_fixed = run_non_adaptive_uniform(fclass, budget, 1, model, trial_seed(ts, 2))
-        ok_fixed = bool(row.max() - row[t_fixed.output_arm] <= alpha)
-        non_adaptive_misses += not ok_fixed
-        non_adaptive_records.append(
-            TrialRecord(
-                experiment_id=f"adaptivity-d{depth}-non-adaptive",
-                seed=ts,
-                trial=i,
-                learner="non-adaptive-uniform",
-                class_name=fclass.family,
-                alpha=alpha,
-                delta=delta,
-                queries=t_fixed.total_queries,
-                success=ok_fixed,
-                output_arm=int(t_fixed.output_arm),
-                gamma_value=cert.value,
-                runtime_ms=0.0,
-            )
-        )
-
-    failure_rate = non_adaptive_misses / trials
+    failure_rate = sum(not r.success for r in non_adaptive_records) / trials
     slack = 3.0 * math.sqrt(0.25 / trials)
     return AdaptivityReport(
         depth=depth,
         gamma_value=cert.value,
         trials=trials,
         non_adaptive_budget=budget,
-        adaptive_success_rate=adaptive_hits / trials,
-        adaptive_mean_queries=query_total / trials,
+        adaptive_success_rate=sum(r.success for r in adaptive_records) / trials,
+        adaptive_mean_queries=sum(r.queries for r in adaptive_records) / trials,
         non_adaptive_failure_rate=failure_rate,
         slack=slack,
         separation_holds=bool(failure_rate >= 0.5 - slack),

@@ -51,6 +51,24 @@ def test_dec_command_sup(capsys, k3_class):
     assert doc["dec"]["bound_direction"] == "lower-bound-of-sup"
 
 
+def test_dec_command_vertex_anchors(capsys, tmp_path):
+    from maximin_bandits.dec import dec_sup
+    from maximin_bandits.environments import make_tree_class
+
+    spec = {"constructor": "tree", "depth": 2, "bucket_size": 1}
+    config = write_json(tmp_path / "tree.json", spec)
+    code, out = run_cli(
+        capsys,
+        ["dec", "--config", config, "--eps", "0.5", "--alpha", "0.3",
+         "--anchors", "vertices", "--sup"],
+    )
+    assert code == 0
+    fclass, _ = make_tree_class(2, 1)
+    vertices = list(np.eye(fclass.n_functions))
+    expected = dec_sup(fclass, 0.5, 0.3, anchors=vertices, resolution=0.1).to_json()
+    assert json.loads(out)["dec"] == expected
+
+
 def test_dec_command_single_anchor(capsys, k3_class, tmp_path):
     anchors = write_json(tmp_path / "anchors.json", {"anchors": [[1.0, 0.0, 0.0]]})
     code, out = run_cli(

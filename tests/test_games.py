@@ -73,11 +73,15 @@ def test_negative_entries_are_shifted_correctly():
 
 def test_solver_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        solve_maximin(np.zeros((2, 2)), tolerance=0.0)
-    with pytest.raises(ValueError):
         solve_maximin(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         solve_maximin(np.array([[np.nan, 1.0]]))
+
+
+def test_gamma_rejects_nonpositive_tolerance():
+    # the certificate's verification slack; the solver itself takes none
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        gamma(make_k_armed(2), 0.2, tolerance=0.0)
 
 
 def test_lost_feasibility_is_a_solver_error():

@@ -14,6 +14,7 @@ import pytest
 from maximin_bandits.cli import main
 from maximin_bandits.core import FunctionClass, Model, NoiseSpec
 from maximin_bandits.environments import make_tree_class
+from maximin_bandits.harness import adaptivity_experiment, records_to_csv
 from maximin_bandits.learners import (
     LearnerParams,
     run_e2d,
@@ -174,3 +175,32 @@ def transcript_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRANSCRIPTS))
 def test_transcript_matches_pinned_digest(name):
     assert transcript_digest(name) == GOLDEN_TRANSCRIPTS[name]
+
+
+# The adaptivity experiment: sha256 of the ``adaptivity`` command's stdout
+# and of its records as CSV (tree-descent records, then the non-adaptive
+# ones).  Depth 4 gives the baseline a budget of 1 query, depth 6 of 6.
+
+#: (depth, trials, seed) -> (stdout sha256, records CSV sha256)
+GOLDEN_ADAPTIVITY = {
+    (4, 200, 3): (
+        "ad75d37296af03d98b0168c61d1c47d8b4780cbb2d1cc798e61ae04bb635263f",
+        "7a34e7582b5d585f6f0804fb6f6e0d0c084d68a73e67b0790873f84928e885a0",
+    ),
+    (6, 100, 9): (
+        "47529de8cacbd32c500ce9d31fd201e4adf07a8b3896a3031eed24bdd0b58db9",
+        "1eb8ffaeebbf11af72d9c929e1eb3cc9246cfa68856e1d3e203d72ad58147502",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ADAPTIVITY))
+def test_adaptivity_matches_pinned_digest(capsys, key):
+    depth, trials, seed = key
+    stdout_digest, csv_digest = GOLDEN_ADAPTIVITY[key]
+    argv = ["adaptivity", "--depth", str(depth), "--trials", str(trials), "--seed", str(seed)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+    report = adaptivity_experiment(depth, trials, seed)
+    csv_text = records_to_csv(report.adaptive_records + report.non_adaptive_records)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == csv_digest

@@ -114,14 +114,6 @@ def test_monte_carlo_learner_errors_become_failed_trials():
     assert all(r.queries == 0 for r in result.records)
 
 
-def test_monte_carlo_thread_pool_matches_serial(monkeypatch):
-    cfg = tree_config(trials=12)
-    serial = monte_carlo(cfg)
-    monkeypatch.setenv("MB_THREADS", "4")
-    parallel = monte_carlo(cfg)
-    assert records_to_csv(serial.records) == records_to_csv(parallel.records)
-
-
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         tree_config(trials=0)
@@ -332,6 +324,30 @@ def test_monte_carlo_rejects_out_of_range_true_function():
             "noise": {"kind": "bernoulli"}, "learner": "empirical-mean",
             "params": {"alpha": 0.2, "delta": 0.1}, "true_function": 1.5,
         })
+
+
+def test_sweep_records_bad_class_spec_fields():
+    cfg = tree_config(trials=2, grid={"class.depth": [2, None]})
+    errors = [cell["error"] for cell in sweep(cfg).cells]
+    assert errors[0] == ""
+    assert "class.depth must be a number, got None" in errors[1]
+    cfg = tree_config(class_spec={"constructor": "tree", "depth": 2}, trials=2,
+                      grid={"params.alpha": [0.2]})
+    errors = [cell["error"] for cell in sweep(cfg).cells]
+    assert "class spec 'tree' requires class.bucket_size" in errors[0]
+
+
+def test_monte_carlo_rejects_bad_class_spec_fields():
+    cases = [
+        ({"constructor": "tree", "depth": None, "bucket_size": 1}, "class.depth must be a number"),
+        ({"constructor": "tree", "depth": 2}, "requires class.bucket_size"),
+        ({"constructor": "k-armed", "k": 2.5}, "class.k must be an integer"),
+        ({"constructor": "singletons"}, "requires class.n"),
+        ({"constructor": "linear-net", "dimension": 2, "alpha": "wide"}, "class.alpha must be a number"),
+    ]
+    for spec, message in cases:
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(tree_config(class_spec=spec, trials=2))
 
 
 def test_sweep_requires_grid():

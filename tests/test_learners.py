@@ -414,6 +414,33 @@ def test_e2d_succeeds_under_deterministic_noise():
         assert t.output_arm == meta.optimal_arm_of(f)
 
 
+def test_e2d_searches_every_round_when_eps_bar_below_one(monkeypatch):
+    # eps_bar < 1 only at long horizons; delta 0.9 gives L = 3 and brings it
+    # down to about 0.94 at T = 12000, so every exploration round re-solves
+    # the decision-estimation search around the oracle's current mixture
+    from maximin_bandits import learners
+
+    fclass = make_k_armed(2)
+    params = LearnerParams(alpha=0.2, delta=0.9, horizon=12000)
+    model = Model(fclass, 0, NoiseSpec.bernoulli())
+    calls = []
+    dec_at = learners.dec_at
+
+    def counting_dec_at(*args, **kwargs):
+        calls.append(1)
+        return dec_at(*args, **kwargs)
+
+    monkeypatch.setattr(learners, "dec_at", counting_dec_at)
+    t = run_e2d(fclass, params, model, seed=7)
+    assert t.meta["eps_bar"] < 1.0
+    assert len(calls) == t.meta["J"]
+    monkeypatch.undo()
+    again = run_e2d(fclass, params, model, seed=7)
+    assert again.arms.tobytes() == t.arms.tobytes()
+    assert again.rewards.tobytes() == t.rewards.tobytes()
+    assert again.output_arm == t.output_arm
+
+
 def test_e2d_est_error_within_bound_typically():
     fclass, _ = make_tree_class(2, 1)
     params = LearnerParams(alpha=0.2, delta=0.2, horizon=400)
