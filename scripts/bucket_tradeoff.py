@@ -16,8 +16,7 @@ import csv
 import sys
 
 from maximin_bandits.core import NoiseSpec, trial_seed
-from maximin_bandits.games import gamma
-from maximin_bandits.harness import ExperimentConfig, build_function_class, monte_carlo
+from maximin_bandits.harness import ExperimentConfig, monte_carlo
 from maximin_bandits.learners import LearnerParams
 
 # 2^depth * bucket_size == 16 in every cell
@@ -63,14 +62,12 @@ def main(argv=None):
                 experiment_id=f"bucket-tradeoff-d{depth}-N{buckets}",
             )
             result = monte_carlo(config)
-            fclass, _ = build_function_class(class_spec)
-            value = gamma(fclass, args.alpha).value
             writer.writerow(
                 {
                     "depth": depth,
                     "bucket_size": buckets,
                     "leaf_arms": (2**depth) * buckets,
-                    "gamma": repr(value),
+                    "gamma": repr(result.gamma_value),
                     "trials": args.trials,
                     "success_rate": repr(result.success_rate),
                     "mean_queries": repr(result.mean_queries),

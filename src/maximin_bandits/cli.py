@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 
+from .core import config_number
 from .dec import default_anchor_candidates, dec_at, dec_sup
 from .environments import make_gaussian_histogram, tv_distance, GaussianDensity
 from .games import gamma
@@ -24,12 +25,27 @@ from .harness import (
     adaptivity_experiment,
     build_function_class,
     certify_lower_bound,
+    fixed_arm_prober,
     monte_carlo,
     sweep,
     tree_descent_prober,
+    witness_prober,
 )
 
 META = {"log_base": "natural"}
+
+# The fields each document-reading subcommand takes from ``--config`` or a
+# flag of the same name: name -> (type, default).  A tuple type lists a
+# string field's choices; a None default leaves the field to the document.
+RUN_FIELDS = {"seed": (int, None), "trials": (int, None), "out": (str, None),
+              "format": (("csv", "json"), None)}
+SWEEP_FIELDS = {"seed": (int, None)}
+CERTIFY_FIELDS = {"alpha": (float, 0.2), "delta": (float, 0.1), "trials": (int, 10000),
+                  "seed": (int, 0)}
+ADAPTIVITY_FIELDS = {"depth": (int, 5), "trials": (int, 2000), "seed": (int, 0),
+                     "alpha": (float, 0.2), "delta": (float, 0.1)}
+DISCRETIZE_FIELDS = {"mu": (float, 0.0), "sigma": (float, 1.0), "eps": (float, 0.1),
+                     "step": (float, 1e-3)}
 
 
 def _load_json(path: str) -> dict:
@@ -73,15 +89,7 @@ def _cmd_dec(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    doc = _load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.format is not None:
-        doc["format"] = args.format
+    doc = _merged(args, RUN_FIELDS)
     result = monte_carlo(ExperimentConfig.from_json(doc))
     _emit(
         {
@@ -99,25 +107,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    config = ExperimentConfig.from_json(doc)
+    config = ExperimentConfig.from_json(_merged(args, SWEEP_FIELDS))
     result = sweep(config, out_path=args.out)
     if not args.out:
         sys.stdout.write(result.to_csv())
     return 0
 
 
-def _merged(args, defaults: dict, fields: tuple) -> dict:
-    """Config document overridden by any explicitly passed CLI flags."""
-    doc = dict(defaults)
+def _merged(args, fields: dict) -> dict:
+    """Defaults, then the ``--config`` document, then explicitly passed flags;
+    every numeric field is converted with ``config_number``."""
+    doc = {name: default for name, (_, default) in fields.items() if default is not None}
     if args.config:
         doc.update(_load_json(args.config))
-    for name in fields:
-        value = getattr(args, name, None)
+    for name, (kind, _) in fields.items():
+        value = getattr(args, name)
         if value is not None:
             doc[name] = value
+        if kind in (int, float) and name in doc:
+            doc[name] = config_number(doc[name], kind, name)
     return doc
 
 
@@ -126,64 +134,44 @@ def _build_prober(fclass, meta, spec: dict):
     if kind == "tree-descent":
         if meta is None:
             raise ValueError("tree-descent prober requires a tree class")
-        return tree_descent_prober(meta, reps_per_stage=int(spec.get("reps", 1)))
+        return tree_descent_prober(meta, config_number(spec.get("reps", 1), int, "prober.reps"))
     if kind == "fixed-arm":
-        from .harness import fixed_arm_prober
-
-        return fixed_arm_prober(int(spec.get("arm", 0)))
+        return fixed_arm_prober(config_number(spec.get("arm", 0), int, "prober.arm"))
     if kind == "witness":
-        from .games import gamma as solve_gamma
-        from .harness import witness_prober
-
-        cert = solve_gamma(fclass, float(spec["alpha"]))
+        cert = gamma(fclass, config_number(spec.get("alpha"), float, "prober.alpha"))
         return witness_prober(cert.p_star)
     raise ValueError(f"unknown prober kind {kind!r}")
 
 
 def _cmd_certify(args) -> int:
-    doc = _merged(
-        args,
-        {"class": {"constructor": "tree", "depth": 1, "bucket_size": 1},
-         "prober": {"kind": "tree-descent", "reps": 1},
-         "alpha": 0.2, "delta": 0.1, "trials": 10000, "seed": 0},
-        ("alpha", "delta", "trials", "seed"),
-    )
+    doc = _merged(args, CERTIFY_FIELDS)
+    spec = doc.get("class", {"constructor": "tree", "depth": 1, "bucket_size": 1})
     if args.depth is not None:
-        doc["class"] = {"constructor": "tree", "depth": args.depth,
-                        "bucket_size": args.bucket_size or 1}
-    fclass, meta = build_function_class(doc["class"])
+        spec = {"constructor": "tree", "depth": args.depth, "bucket_size": args.bucket_size or 1}
+    fclass, meta = build_function_class(spec)
     prober = _build_prober(fclass, meta, doc.get("prober", {}))
     report = certify_lower_bound(
-        fclass, prober, float(doc["alpha"]), float(doc["delta"]),
-        trials=int(doc["trials"]), seed=int(doc["seed"]),
+        fclass, prober, doc["alpha"], doc["delta"], trials=doc["trials"], seed=doc["seed"],
     )
     _emit({"certify": report.to_json()}, args.out)
     return 0
 
 
 def _cmd_adaptivity(args) -> int:
-    doc = _merged(
-        args,
-        {"depth": 5, "trials": 2000, "seed": 0, "alpha": 0.2, "delta": 0.1},
-        ("depth", "trials", "seed", "alpha", "delta"),
-    )
+    doc = _merged(args, ADAPTIVITY_FIELDS)
     report = adaptivity_experiment(
-        int(doc["depth"]), trials=int(doc["trials"]), seed=int(doc["seed"]),
-        alpha=float(doc["alpha"]), delta=float(doc["delta"]),
+        doc["depth"], trials=doc["trials"], seed=doc["seed"],
+        alpha=doc["alpha"], delta=doc["delta"],
     )
     _emit({"adaptivity": report.to_json()}, args.out)
     return 0
 
 
 def _cmd_discretize(args) -> int:
-    doc = _merged(
-        args,
-        {"mu": 0.0, "sigma": 1.0, "eps": 0.1, "step": 1e-3},
-        ("mu", "sigma", "eps", "step"),
-    )
-    mu, sigma, eps = float(doc["mu"]), float(doc["sigma"]), float(doc["eps"])
+    doc = _merged(args, DISCRETIZE_FIELDS)
+    mu, sigma, eps = doc["mu"], doc["sigma"], doc["eps"]
     hist = make_gaussian_histogram(mu, sigma, eps)
-    tv = tv_distance(hist, GaussianDensity(mu, sigma), step=float(doc["step"]))
+    tv = tv_distance(hist, GaussianDensity(mu, sigma), step=doc["step"])
     _emit(
         {
             "histogram": hist.to_json(),
@@ -195,6 +183,14 @@ def _cmd_discretize(args) -> int:
         args.out,
     )
     return 0
+
+
+def _add_fields(parser: argparse.ArgumentParser, fields: dict) -> None:
+    for name, (kind, _) in fields.items():
+        if isinstance(kind, tuple):
+            parser.add_argument(f"--{name}", choices=kind)
+        else:
+            parser.add_argument(f"--{name}", type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,15 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a Monte Carlo experiment config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
+    _add_fields(p, RUN_FIELDS)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="cartesian parameter sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, SWEEP_FIELDS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
@@ -244,29 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON with class, prober, alpha, delta, trials, seed")
     p.add_argument("--depth", type=int, help="shortcut: tree class of this depth")
     p.add_argument("--bucket-size", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, CERTIFY_FIELDS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("adaptivity", help="adaptive vs non-adaptive separation")
     p.add_argument("--config")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--delta", type=float)
+    _add_fields(p, ADAPTIVITY_FIELDS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_adaptivity)
 
     p = sub.add_parser("discretize", help="histogram approximation of a Gaussian")
     p.add_argument("--config")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--step", type=float)
+    _add_fields(p, DISCRETIZE_FIELDS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_discretize)
 

@@ -77,7 +77,10 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 def config_number(value, kind: type, name: str):
     """A config field as a float or an int; anything else, a fractional int
-    included, raises ValueError naming the field."""
+    included, raises ValueError naming the field.  An integer stays exact
+    (64-bit seeds do not survive a round trip through float)."""
+    if kind is int and isinstance(value, (int, np.integer)):
+        return int(value)
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -154,10 +157,9 @@ class FunctionClass:
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionClass":
         fc = cls(np.asarray(doc["means"], dtype=float), labels=doc.get("labels"))
-        if "arms" in doc and int(doc["arms"]) != fc.n_arms:
-            raise ValueError("declared arm count disagrees with the means matrix")
-        if "functions" in doc and int(doc["functions"]) != fc.n_functions:
-            raise ValueError("declared function count disagrees with the means matrix")
+        for key, count in (("arms", fc.n_arms), ("functions", fc.n_functions)):
+            if key in doc and config_number(doc[key], int, f"class.{key}") != count:
+                raise ValueError(f"declared class.{key} disagrees with the means matrix")
         return fc
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,13 +261,4 @@ def dec_sup(
         res = dec_at(fclass, anchor, eps, alpha, resolution)
         if best is None or res.value > best.value + 1e-15:
             best = res
-    return DecResult(
-        value=best.value,
-        p_witness=best.p_witness,
-        q_witness=best.q_witness,
-        anchor=best.anchor,
-        eps=best.eps,
-        alpha=best.alpha,
-        search_resolution=best.search_resolution,
-        bound_direction=LOWER_BOUND_OF_SUP,
-    )
+    return replace(best, bound_direction=LOWER_BOUND_OF_SUP)

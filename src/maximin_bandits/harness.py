@@ -33,6 +33,7 @@ from .core import (
 from .environments import TreeMeta, make_k_armed, make_linear_net_class, make_singletons, make_tree_class
 from .learners import (
     LearnerParams,
+    descend_tree,
     run_e2d,
     run_empirical_mean_learner,
     run_median_of_means_learner,
@@ -222,18 +223,21 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         true_f = doc.get("true_function")
+        record_runtime = doc.get("record_runtime", False)
+        if not isinstance(record_runtime, bool):
+            raise ValueError(f"record_runtime must be true or false, got {record_runtime!r}")
         return cls(
             class_spec=doc["class"],
             noise=NoiseSpec.from_json(doc["noise"]),
             learner=doc["learner"],
             params=LearnerParams.from_json(doc["params"]),
-            trials=int(doc.get("trials", 100)),
-            seed=int(doc.get("seed", 0)),
+            trials=config_number(doc.get("trials", 100), int, "trials"),
+            seed=config_number(doc.get("seed", 0), int, "seed"),
             true_function=None if true_f is None else config_number(true_f, int, "true_function"),
             experiment_id=doc.get("experiment_id"),
             out_path=doc.get("out"),
             format=doc.get("format", "csv"),
-            record_runtime=bool(doc.get("record_runtime", False)),
+            record_runtime=record_runtime,
             grid=doc.get("grid"),
         )
 
@@ -496,19 +500,10 @@ def tree_descent_prober(meta: TreeMeta, reps_per_stage: int = 1):
         raise ValueError("reps_per_stage must be >= 1")
 
     def prober(query, rng) -> int:
-        path = []
-        for _ in range(meta.depth):
-            arm = meta.internal_arm_of(path)
-            mean = sum(query(arm) for _ in range(reps_per_stage)) / reps_per_stage
-            path.append(1 if mean >= 0.5 else 0)
-        leaf = 0
-        for bit in path:
-            leaf = 2 * leaf + bit
-        bucket = meta.bucket_arms_of(leaf)
-        estimates = [
-            sum(query(arm) for _ in range(reps_per_stage)) / reps_per_stage for arm in bucket
-        ]
-        return bucket[int(np.argmax(estimates))]
+        def stage_mean(arm: int, count: int) -> float:
+            return sum(query(arm) for _ in range(count)) / count
+
+        return descend_tree(meta, stage_mean, reps_per_stage, reps_per_stage)[1]
 
     return prober
 
@@ -659,11 +654,16 @@ def sweep(config: ExperimentConfig, out_path: str | None = None) -> SweepResult:
 
     ``config.grid`` maps dotted config paths (e.g. "params.alpha",
     "class.depth", "noise.sigma") to value lists.  Each cell runs its own
-    Monte Carlo on a seed derived from (master seed, cell index); a failing
-    cell records its error and the sweep continues.
+    Monte Carlo on a seed derived from (master seed, cell index) under its
+    own experiment ID, so the grid may not set ``seed`` or
+    ``experiment_id``; a failing cell records its error and the sweep
+    continues.
     """
     if not config.grid:
         raise ValueError("sweep requires a parameter grid")
+    for key in ("seed", "experiment_id"):
+        if key in config.grid:
+            raise ValueError(f"sweep grid cannot set {key}: each cell sets its own")
     keys = sorted(config.grid)
     base = {
         "class": dict(config.class_spec),

@@ -58,6 +58,7 @@ __all__ = [
     "run_empirical_mean_learner",
     "run_median_of_means_learner",
     "run_tree_descent",
+    "descend_tree",
     "run_non_adaptive_uniform",
     "run_e2d",
     "OnlineRegressionOracle",
@@ -69,6 +70,11 @@ __all__ = [
 #: so testing the node's empirical mean against 1/2 leaves a 1/6 margin.
 TREE_THRESHOLD = 0.5
 TREE_NODE_FACTOR = 18.0
+
+#: Learning rate of the exponential-weights regression oracle.
+ORACLE_LEARNING_RATE = 0.5
+#: Grid step of e2d's per-round (p, q) candidate search (``dec_at`` resolution).
+E2D_SEARCH_RESOLUTION = 0.25
 
 
 class UnlearnableInstanceError(RuntimeError):
@@ -253,6 +259,27 @@ def run_median_of_means_learner(
     )
 
 
+def descend_tree(meta: TreeMeta, stage_mean, n_node: int, n_leaf: int) -> tuple[int, int]:
+    """Root-to-leaf walk on the binary-tree class.
+
+    ``stage_mean(arm, count)`` estimates an arm's mean from ``count`` fresh
+    queries.  Each internal stage estimates the current node from ``n_node``
+    queries and goes right iff the estimate clears 1/2; at the leaf each
+    bucket arm is estimated from ``n_leaf`` queries.  Returns the leaf and
+    the bucket arm with the best estimate (least index on ties).
+    """
+    path: list[int] = []
+    for _ in range(meta.depth):
+        mean = stage_mean(meta.internal_arm_of(path), n_node)
+        path.append(1 if mean >= TREE_THRESHOLD else 0)
+    leaf = 0
+    for bit in path:
+        leaf = 2 * leaf + bit
+    bucket = meta.bucket_arms_of(leaf)
+    estimates = [stage_mean(arm, n_leaf) for arm in bucket]
+    return leaf, bucket[int(np.argmax(estimates))]
+
+
 def run_tree_descent(
     meta: TreeMeta,
     fclass: FunctionClass,
@@ -282,26 +309,14 @@ def run_tree_descent(
     rng = np.random.default_rng(seed)
     arms_chunks: list[np.ndarray] = []
     rewards_chunks: list[np.ndarray] = []
-    path: list[int] = []
-    for _ in range(meta.depth):
-        arm = meta.internal_arm_of(path)
-        block = sample_rewards(model, arm, n_node, rng)
-        arms_chunks.append(np.full(n_node, arm, dtype=np.int64))
-        rewards_chunks.append(block)
-        path.append(1 if block.mean() >= TREE_THRESHOLD else 0)
 
-    leaf = 0
-    for bit in path:
-        leaf = 2 * leaf + bit
-    bucket = meta.bucket_arms_of(leaf)
-    estimates = np.empty(len(bucket))
-    for i, arm in enumerate(bucket):
-        block = sample_rewards(model, arm, n_leaf, rng)
-        arms_chunks.append(np.full(n_leaf, arm, dtype=np.int64))
+    def stage_mean(arm: int, count: int) -> float:
+        block = sample_rewards(model, arm, count, rng)
+        arms_chunks.append(np.full(count, arm, dtype=np.int64))
         rewards_chunks.append(block)
-        estimates[i] = block.mean()
-    winner = bucket[int(np.argmax(estimates))]
+        return block.mean()
 
+    leaf, winner = descend_tree(meta, stage_mean, n_node, n_leaf)
     return Transcript(
         learner_name="tree-descent",
         seed=seed,
@@ -362,11 +377,8 @@ class OnlineRegressionOracle:
     function consistent with every observation never loses relative weight.
     """
 
-    def __init__(self, fclass: FunctionClass, learning_rate: float = 0.5):
-        if not learning_rate > 0:
-            raise ValueError("learning rate must be positive")
+    def __init__(self, fclass: FunctionClass):
         self._means = fclass.means
-        self._eta = learning_rate
         self._cum_loss = np.zeros(fclass.n_functions)
 
     def update(self, arm: int, reward: float) -> None:
@@ -378,7 +390,7 @@ class OnlineRegressionOracle:
     @property
     def weights(self) -> np.ndarray:
         shifted = self._cum_loss - self._cum_loss.min()
-        w = np.exp(-self._eta * shifted)
+        w = np.exp(-ORACLE_LEARNING_RATE * shifted)
         return w / w.sum()
 
     def predict(self) -> np.ndarray:
@@ -411,7 +423,6 @@ def run_e2d(
     params: LearnerParams,
     model: Model,
     seed: int,
-    search_resolution: float = 0.25,
 ) -> Transcript:
     """Estimation-to-decisions learner for general finite classes.
 
@@ -453,7 +464,7 @@ def run_e2d(
     # With eps_bar >= 1 the version set is the whole class for every anchor
     # and every q, so the search result is round-independent: solve once.
     fixed = dec_at(fclass, np.full(fclass.n_functions, 1.0 / fclass.n_functions),
-                   eps_bar, half_alpha, search_resolution) if eps_bar >= 1.0 else None
+                   eps_bar, half_alpha, E2D_SEARCH_RESOLUTION) if eps_bar >= 1.0 else None
 
     oracle = OnlineRegressionOracle(fclass)
     p_hist: list[np.ndarray] = []
@@ -469,7 +480,7 @@ def run_e2d(
         if fixed is not None:
             p_t, q_t = fixed.p_witness.probs, fixed.q_witness
         else:
-            res = dec_at(fclass, w, eps_bar, half_alpha, search_resolution)
+            res = dec_at(fclass, w, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
             p_t, q_t = res.p_witness.probs, res.q_witness
         p_hist.append(p_t)
         q_hist.append(q_t)

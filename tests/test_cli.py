@@ -198,3 +198,48 @@ def test_cli_output_is_deterministic(capsys, k3_class):
     _, out_a = run_cli(capsys, ["gamma", "--config", k3_class, "--alpha", "0.3"])
     _, out_b = run_cli(capsys, ["gamma", "--config", k3_class, "--alpha", "0.3"])
     assert out_a == out_b
+
+
+RUN_DOC = {
+    "class": {"constructor": "tree", "depth": 2, "bucket_size": 1},
+    "noise": {"kind": "deterministic"},
+    "learner": "tree-descent",
+    "params": {"alpha": 0.2, "delta": 0.1},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("adaptivity", {"depth": None}, "depth must be a number, got None"),
+        ("adaptivity", {"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ("certify", {"trials": "many"}, "trials must be a number, got 'many'"),
+        ("certify", {"prober": {"kind": "tree-descent", "reps": 1.5}},
+         "prober.reps must be an integer, got 1.5"),
+        ("certify", {"class": {"constructor": "k-armed", "k": 3},
+                     "prober": {"kind": "fixed-arm", "arm": "first"}},
+         "prober.arm must be a number, got 'first'"),
+        ("certify", {"class": {"constructor": "k-armed", "k": 3}, "prober": {"kind": "witness"}},
+         "prober.alpha must be a number, got None"),
+        ("discretize", {"sigma": "wide"}, "sigma must be a number, got 'wide'"),
+        ("run", {**RUN_DOC, "trials": 2.5}, "trials must be an integer, got 2.5"),
+        ("run", {**RUN_DOC, "seed": None}, "seed must be a number, got None"),
+        ("run", {**RUN_DOC, "record_runtime": "false"},
+         "record_runtime must be true or false, got 'false'"),
+    ],
+)
+def test_config_documents_name_bad_fields(tmp_path, command, doc, message):
+    cfg = write_json(tmp_path / "doc.json", doc)
+    with pytest.raises(ValueError) as info:
+        main([command, "--config", cfg])
+    assert message in str(info.value)
+
+
+def test_flags_override_config_fields(capsys, tmp_path):
+    cfg = write_json(tmp_path / "adapt.json", {"depth": 9, "trials": "many", "seed": 5})
+    code, out = run_cli(
+        capsys, ["adaptivity", "--config", cfg, "--depth", "3", "--trials", "40"]
+    )
+    assert code == 0
+    _, direct = run_cli(capsys, ["adaptivity", "--depth", "3", "--trials", "40", "--seed", "5"])
+    assert out == direct

@@ -350,6 +350,72 @@ def test_monte_carlo_rejects_bad_class_spec_fields():
             monte_carlo(tree_config(class_spec=spec, trials=2))
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": None}, "trials must be a number, got None"),
+        ({"seed": "zero"}, "seed must be a number, got 'zero'"),
+        ({"record_runtime": "false"}, "record_runtime must be true or false, got 'false'"),
+        ({"record_runtime": 0}, "record_runtime must be true or false, got 0"),
+    ],
+)
+def test_experiment_config_from_json_rejects_bad_fields(field, message):
+    doc = {
+        "class": {"constructor": "tree", "depth": 2, "bucket_size": 1},
+        "noise": {"kind": "bernoulli"}, "learner": "tree-descent",
+        "params": {"alpha": 0.2, "delta": 0.1}, **field,
+    }
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_json(doc)
+    assert message in str(info.value)
+
+
+def test_experiment_config_from_json_keeps_64_bit_seeds_exact():
+    from maximin_bandits.core import trial_seed
+
+    # sweep cells run on 64-bit derived seeds, which a float cannot hold
+    seed = trial_seed(99, 0)
+    assert seed > 2**53
+    doc = {
+        "class": {"constructor": "tree", "depth": 2, "bucket_size": 1},
+        "noise": {"kind": "bernoulli"}, "learner": "tree-descent",
+        "params": {"alpha": 0.2, "delta": 0.1}, "seed": seed,
+    }
+    assert ExperimentConfig.from_json(doc).seed == seed
+    assert ExperimentConfig.from_json({**doc, "seed": np.uint64(seed)}).seed == seed
+
+
+def test_sweep_records_null_trials_and_declared_counts():
+    errors = [cell["error"] for cell in sweep(tree_config(trials=2, grid={"trials": [2, None]})).cells]
+    assert errors[0] == ""
+    assert "trials must be a number, got None" in errors[1]
+    inline = {"means": [[1.0, 0.0], [0.0, 1.0]], "arms": 2}
+    cfg = tree_config(class_spec=inline, learner="empirical-mean", trials=2,
+                      grid={"class.arms": [2, None, 3]})
+    errors = [cell["error"] for cell in sweep(cfg).cells]
+    assert errors[0] == ""
+    assert "class.arms must be a number, got None" in errors[1]
+    assert "declared class.arms disagrees" in errors[2]
+
+
+@pytest.mark.parametrize("key", ["seed", "experiment_id"])
+def test_sweep_rejects_per_cell_keys_in_grid(tmp_path, key):
+    out = tmp_path / "sweep.csv"
+    cfg = tree_config(trials=2, grid={"params.alpha": [0.2], key: [1, None]})
+    with pytest.raises(ValueError, match=f"sweep grid cannot set {key}"):
+        sweep(cfg, out_path=str(out))
+    assert not out.exists()
+
+
+def test_tree_descent_prober_queries_each_stage_reps_times():
+    fclass, meta = make_tree_class(2, 3)
+    prober = tree_descent_prober(meta, reps_per_stage=3)
+    report = certify_lower_bound(fclass, prober, alpha=0.2, delta=0.1, trials=20, seed=4)
+    # (depth + bucket_size) stages of 3 coin flips each, on every trial
+    assert report.budget == 3 * (2 + 3)
+
+
 def test_sweep_requires_grid():
     with pytest.raises(ValueError):
         sweep(tree_config())
