@@ -16,7 +16,6 @@ from .core import (
     PrecisionError,
     Transcript,
     gap_matrix,
-    sample_reward,
     sample_rewards,
     trial_seed,
     two_point_support,
@@ -37,7 +36,6 @@ from .environments import (
 from .estimators import (
     MoMConfig,
     chernoff_sample_count,
-    empirical_mean,
     median_of_means,
     median_of_means_sample_count,
     mom_groups,
@@ -80,7 +78,6 @@ __all__ = [
     "PrecisionError",
     "Transcript",
     "gap_matrix",
-    "sample_reward",
     "sample_rewards",
     "trial_seed",
     "two_point_support",
@@ -102,7 +99,6 @@ __all__ = [
     "tv_distance",
     "MoMConfig",
     "chernoff_sample_count",
-    "empirical_mean",
     "median_of_means",
     "median_of_means_sample_count",
     "mom_groups",

@@ -37,15 +37,16 @@ META = {"log_base": "natural"}
 # The fields each document-reading subcommand takes from ``--config`` or a
 # flag of the same name: name -> (type, default).  A tuple type lists a
 # string field's choices; a None default leaves the field to the document.
+# These tables are the only source of those subcommands' flags.
 RUN_FIELDS = {"seed": (int, None), "trials": (int, None), "out": (str, None),
               "format": (("csv", "json"), None)}
-SWEEP_FIELDS = {"seed": (int, None)}
-CERTIFY_FIELDS = {"alpha": (float, 0.2), "delta": (float, 0.1), "trials": (int, 10000),
-                  "seed": (int, 0)}
+SWEEP_FIELDS = {"seed": (int, None), "out": (str, None)}
+CERTIFY_FIELDS = {"depth": (int, None), "alpha": (float, 0.2), "delta": (float, 0.1),
+                  "trials": (int, 10000), "seed": (int, 0), "out": (str, None)}
 ADAPTIVITY_FIELDS = {"depth": (int, 5), "trials": (int, 2000), "seed": (int, 0),
-                     "alpha": (float, 0.2), "delta": (float, 0.1)}
+                     "alpha": (float, 0.2), "delta": (float, 0.1), "out": (str, None)}
 DISCRETIZE_FIELDS = {"mu": (float, 0.0), "sigma": (float, 1.0), "eps": (float, 0.1),
-                     "step": (float, 1e-3)}
+                     "step": (float, 1e-3), "out": (str, None)}
 
 
 def _load_json(path: str) -> dict:
@@ -78,6 +79,8 @@ def _cmd_dec(args) -> int:
     else:
         doc = _load_json(args.anchors)
         anchors = doc["anchors"] if isinstance(doc, dict) else doc
+    if not anchors:
+        raise ValueError("need at least one anchor candidate")
     if args.sup:
         result = dec_sup(fclass, args.eps, args.alpha, anchors=anchors,
                          resolution=args.resolution)
@@ -108,8 +111,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json(_merged(args, SWEEP_FIELDS))
-    result = sweep(config, out_path=args.out)
-    if not args.out:
+    result = sweep(config)
+    if not config.out_path:
         sys.stdout.write(result.to_csv())
     return 0
 
@@ -145,15 +148,15 @@ def _build_prober(fclass, meta, spec: dict):
 
 def _cmd_certify(args) -> int:
     doc = _merged(args, CERTIFY_FIELDS)
-    spec = doc.get("class", {"constructor": "tree", "depth": 1, "bucket_size": 1})
-    if args.depth is not None:
-        spec = {"constructor": "tree", "depth": args.depth, "bucket_size": args.bucket_size or 1}
+    if "depth" in doc and "class" in doc:
+        raise ValueError("certify takes depth (a bucket-1 tree) or class, not both")
+    spec = doc.get("class", {"constructor": "tree", "depth": doc.get("depth", 1), "bucket_size": 1})
     fclass, meta = build_function_class(spec)
     prober = _build_prober(fclass, meta, doc.get("prober", {}))
     report = certify_lower_bound(
         fclass, prober, doc["alpha"], doc["delta"], trials=doc["trials"], seed=doc["seed"],
     )
-    _emit({"certify": report.to_json()}, args.out)
+    _emit({"certify": report.to_json()}, doc.get("out"))
     return 0
 
 
@@ -163,7 +166,7 @@ def _cmd_adaptivity(args) -> int:
         doc["depth"], trials=doc["trials"], seed=doc["seed"],
         alpha=doc["alpha"], delta=doc["delta"],
     )
-    _emit({"adaptivity": report.to_json()}, args.out)
+    _emit({"adaptivity": report.to_json()}, doc.get("out"))
     return 0
 
 
@@ -180,17 +183,9 @@ def _cmd_discretize(args) -> int:
             "tv_within_eps": bool(tv <= eps),
             "eps": eps,
         },
-        args.out,
+        doc.get("out"),
     )
     return 0
-
-
-def _add_fields(parser: argparse.ArgumentParser, fields: dict) -> None:
-    for name, (kind, _) in fields.items():
-        if isinstance(kind, tuple):
-            parser.add_argument(f"--{name}", choices=kind)
-        else:
-            parser.add_argument(f"--{name}", type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,36 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dec)
 
-    p = sub.add_parser("run", help="run a Monte Carlo experiment config")
-    p.add_argument("--config", required=True)
-    _add_fields(p, RUN_FIELDS)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("sweep", help="cartesian parameter sweep")
-    p.add_argument("--config", required=True)
-    _add_fields(p, SWEEP_FIELDS)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("certify", help="coin-flip lower-bound certification")
-    p.add_argument("--config", help="JSON with class, prober, alpha, delta, trials, seed")
-    p.add_argument("--depth", type=int, help="shortcut: tree class of this depth")
-    p.add_argument("--bucket-size", type=int)
-    _add_fields(p, CERTIFY_FIELDS)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("adaptivity", help="adaptive vs non-adaptive separation")
-    p.add_argument("--config")
-    _add_fields(p, ADAPTIVITY_FIELDS)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_adaptivity)
-
-    p = sub.add_parser("discretize", help="histogram approximation of a Gaussian")
-    p.add_argument("--config")
-    _add_fields(p, DISCRETIZE_FIELDS)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_discretize)
+    for name, help_text, func, fields, config in (
+        ("run", "run a Monte Carlo experiment config", _cmd_run, RUN_FIELDS, {"required": True}),
+        ("sweep", "cartesian parameter sweep", _cmd_sweep, SWEEP_FIELDS, {"required": True}),
+        ("certify", "coin-flip lower-bound certification", _cmd_certify, CERTIFY_FIELDS,
+         {"help": "JSON with class or depth, prober, alpha, delta, trials, seed, out"}),
+        ("adaptivity", "adaptive vs non-adaptive separation", _cmd_adaptivity,
+         ADAPTIVITY_FIELDS, {}),
+        ("discretize", "histogram approximation of a Gaussian", _cmd_discretize,
+         DISCRETIZE_FIELDS, {}),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", **config)
+        for field, (kind, _) in fields.items():
+            if isinstance(kind, tuple):
+                p.add_argument(f"--{field}", choices=kind)
+            else:
+                p.add_argument(f"--{field}", type=kind)
+        p.set_defaults(func=func)
 
     return parser
 

@@ -27,8 +27,6 @@ __all__ = [
     "ArmDistribution",
     "Transcript",
     "gap_matrix",
-    "argmax_arm",
-    "sample_reward",
     "sample_rewards",
     "two_point_support",
     "trial_seed",
@@ -76,9 +74,12 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 def config_number(value, kind: type, name: str):
-    """A config field as a float or an int; anything else, a fractional int
-    included, raises ValueError naming the field.  An integer stays exact
-    (64-bit seeds do not survive a round trip through float)."""
+    """A config field as a float or an int; anything else, a boolean, a
+    numeric string or a fractional int included, raises ValueError naming
+    the field.  An integer stays exact (64-bit seeds do not survive a round
+    trip through float)."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if kind is int and isinstance(value, (int, np.integer)):
         return int(value)
     try:
@@ -365,11 +366,6 @@ def sample_rewards(model: Model, arm, count: int, rng: np.random.Generator) -> n
     return rewards.ravel()
 
 
-def sample_reward(model: Model, arm: int, rng: np.random.Generator) -> float:
-    """Draw a single reward for one arm."""
-    return float(sample_rewards(model, arm, 1, rng)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class ArmDistribution:
     """A probability vector over arms (entries >= 0, sum within 1e-9 of 1)."""
@@ -406,9 +402,6 @@ class ArmDistribution:
         u = rng.random(size if size is not None else 1)
         idx = np.minimum(np.searchsorted(cdf, u, side="right"), self.n_arms - 1)
         return int(idx[0]) if size is None else idx.astype(np.int64)
-
-    def expectation(self, values) -> float:
-        return float(self.probs @ np.asarray(values, dtype=float))
 
 
 @dataclass(eq=False)
@@ -468,8 +461,3 @@ def gap_matrix(fclass: FunctionClass, alpha: float) -> np.ndarray:
     means = fclass.means
     gaps = means.max(axis=1, keepdims=True) - means
     return (gaps <= alpha).astype(np.int8)
-
-
-def argmax_arm(fclass: FunctionClass, function: int) -> int:
-    """Least-index arm maximizing the given function."""
-    return int(np.argmax(fclass.row(function)))

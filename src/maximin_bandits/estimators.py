@@ -17,7 +17,6 @@ __all__ = [
     "chernoff_sample_count",
     "median_of_means_sample_count",
     "mom_groups",
-    "empirical_mean",
     "median_of_means",
     "row_medians_of_means",
 ]
@@ -27,16 +26,13 @@ DEFAULT_CM = 4.0
 
 @dataclass(frozen=True)
 class MoMConfig:
-    """Median-of-means configuration: group count and deviation constant."""
+    """Median-of-means configuration: the group count."""
 
     groups: int
-    c_m: float = DEFAULT_CM
 
     def __post_init__(self):
         if self.groups < 1:
             raise ValueError("group count must be >= 1")
-        if not self.c_m > 0:
-            raise ValueError("c_m must be positive")
 
 
 def chernoff_sample_count(alpha: float, delta: float, m: int) -> int:
@@ -76,14 +72,6 @@ def mom_groups(delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return max(1, math.ceil(math.log(2.0 / delta)))
-
-
-def empirical_mean(samples) -> float:
-    """Arithmetic mean; rejects empty input."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot average an empty sample")
-    return float(arr.mean())
 
 
 def median_of_means(samples, config: MoMConfig) -> float:

@@ -649,7 +649,7 @@ def _apply_override(doc: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def sweep(config: ExperimentConfig, out_path: str | None = None) -> SweepResult:
+def sweep(config: ExperimentConfig) -> SweepResult:
     """Cartesian parameter sweep of Monte Carlo cells.
 
     ``config.grid`` maps dotted config paths (e.g. "params.alpha",
@@ -657,10 +657,13 @@ def sweep(config: ExperimentConfig, out_path: str | None = None) -> SweepResult:
     Monte Carlo on a seed derived from (master seed, cell index) under its
     own experiment ID, so the grid may not set ``seed`` or
     ``experiment_id``; a failing cell records its error and the sweep
-    continues.
+    continues.  The cell table is written as CSV to ``config.out_path``
+    when it is set.
     """
     if not config.grid:
         raise ValueError("sweep requires a parameter grid")
+    if config.format != "csv":
+        raise ValueError(f"sweep writes csv only, got format {config.format!r}")
     for key in ("seed", "experiment_id"):
         if key in config.grid:
             raise ValueError(f"sweep grid cannot set {key}: each cell sets its own")
@@ -700,7 +703,7 @@ def sweep(config: ExperimentConfig, out_path: str | None = None) -> SweepResult:
             cell["error"] = str(exc)
         cells.append(cell)
     result = SweepResult(cells=cells, columns=columns)
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
+    if config.out_path:
+        with open(config.out_path, "w", newline="") as fh:
             fh.write(result.to_csv())
     return result

@@ -26,7 +26,7 @@ parameters only, never on observed rewards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
     "run_non_adaptive_uniform",
     "run_e2d",
     "OnlineRegressionOracle",
-    "online_regression_weights",
     "est_bound",
 ]
 
@@ -126,16 +125,25 @@ class LearnerParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LearnerParams":
-        def optional(key, kind, value):
+        """Read the fields ``to_json`` writes; any other key is an error."""
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(doc) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown learner parameter params.{unknown[0]} (known: {', '.join(known)})"
+            )
+
+        def optional(key, kind):
+            value = doc.get(key)
             return None if value is None else config_number(value, kind, f"params.{key}")
 
         return cls(
-            alpha=config_number(doc["alpha"], float, "params.alpha"),
-            delta=config_number(doc["delta"], float, "params.delta"),
-            sigma=optional("sigma", float, doc.get("sigma")),
-            c_m=optional("c_m", float, doc.get("c_m", doc.get("cM"))),
-            horizon=optional("horizon", int, doc.get("horizon", doc.get("T"))),
-            budget=optional("budget", int, doc.get("budget")),
+            alpha=config_number(doc.get("alpha"), float, "params.alpha"),
+            delta=config_number(doc.get("delta"), float, "params.delta"),
+            sigma=optional("sigma", float),
+            c_m=optional("c_m", float),
+            horizon=optional("horizon", int),
+            budget=optional("budget", int),
             reps_per_arm=config_number(doc.get("reps_per_arm", 1), int, "params.reps_per_arm"),
         )
 
@@ -242,7 +250,7 @@ def run_median_of_means_learner(
             "per-arm budget smaller than the group count; sigma is too small "
             "for this alpha/delta"
         )
-    mom_cfg = MoMConfig(groups=groups, c_m=c_m)
+    mom_cfg = MoMConfig(groups=groups)
 
     rng = np.random.default_rng(seed)
     drawn = p_star.sample(rng, m)
@@ -396,15 +404,6 @@ class OnlineRegressionOracle:
     def predict(self) -> np.ndarray:
         """Mean-reward prediction per arm: the weight mixture of class rows."""
         return self.weights @ self._means
-
-
-def online_regression_weights(fclass: FunctionClass, history) -> np.ndarray:
-    """Mixture weights of the exponential-weights oracle after a history of
-    (arm, reward) pairs; uniform on an empty history."""
-    oracle = OnlineRegressionOracle(fclass)
-    for arm, reward in history:
-        oracle.update(int(arm), float(reward))
-    return oracle.weights
 
 
 def est_bound(n_functions: int, delta: float) -> float:

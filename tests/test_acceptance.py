@@ -249,7 +249,7 @@ def test_criterion_05_mom_tail_bound():
             for i in range(trials):
                 rng = np.random.default_rng(trial_seed(51001, i))
                 samples = sample_rewards(model, 0, n, rng)
-                est = median_of_means(samples, MoMConfig(groups=groups, c_m=4.0))
+                est = median_of_means(samples, MoMConfig(groups=groups))
                 exceed += abs(est - mu) > threshold
             rate = exceed / trials
             ok = ok and rate <= bound

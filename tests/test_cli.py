@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,16 @@ RUN_DOC = {
     "learner": "tree-descent",
     "params": {"alpha": 0.2, "delta": 0.1},
 }
+# The non-adaptive baseline on a depth-3 tree fails often enough that the
+# seed moves the success rates.
+SWEEP_DOC = {
+    "class": {"constructor": "tree", "depth": 3, "bucket_size": 1},
+    "noise": {"kind": "deterministic"},
+    "learner": "non-adaptive-uniform",
+    "params": {"alpha": 0.2, "delta": 0.1, "budget": 1},
+    "trials": 4,
+    "grid": {"params.budget": [1, 2]},
+}
 
 
 @pytest.mark.parametrize(
@@ -226,6 +237,17 @@ RUN_DOC = {
         ("run", {**RUN_DOC, "seed": None}, "seed must be a number, got None"),
         ("run", {**RUN_DOC, "record_runtime": "false"},
          "record_runtime must be true or false, got 'false'"),
+        ("adaptivity", {"depth": True, "trials": "3"}, "depth must be a number, got True"),
+        ("adaptivity", {"depth": 2, "trials": "3"}, "trials must be a number, got '3'"),
+        ("certify", {"depth": 2, "class": {"constructor": "tree", "depth": 2, "bucket_size": 2}},
+         "certify takes depth (a bucket-1 tree) or class, not both"),
+        ("sweep", {**SWEEP_DOC, "format": "json"}, "sweep writes csv only, got format 'json'"),
+        ("sweep", {**SWEEP_DOC, "params": {**SWEEP_DOC["params"], "cM": 2.0}},
+         "unknown learner parameter params.cM"),
+        ("sweep", {**SWEEP_DOC, "params": {**SWEEP_DOC["params"], "T": 400}},
+         "unknown learner parameter params.T"),
+        ("sweep", {**SWEEP_DOC, "params": {**SWEEP_DOC["params"], "alpah": 0.3}},
+         "unknown learner parameter params.alpah"),
     ],
 )
 def test_config_documents_name_bad_fields(tmp_path, command, doc, message):
@@ -243,3 +265,100 @@ def test_flags_override_config_fields(capsys, tmp_path):
     assert code == 0
     _, direct = run_cli(capsys, ["adaptivity", "--depth", "3", "--trials", "40", "--seed", "5"])
     assert out == direct
+
+
+# One case per field table entry: (command, base document, field, value).
+# Output files go to out/ under the test's working directory.
+FIELD_CASES = [
+    ("run", {**RUN_DOC, "trials": 2, "out": "out/records"}, "seed", 4),
+    ("run", {**RUN_DOC, "trials": 2, "out": "out/records"}, "trials", 3),
+    ("run", {**RUN_DOC, "trials": 2, "out": "out/records"}, "out", "out/other"),
+    ("run", {**RUN_DOC, "trials": 2, "out": "out/records"}, "format", "json"),
+    ("sweep", SWEEP_DOC, "seed", 3),
+    ("sweep", SWEEP_DOC, "out", "out/cells.csv"),
+    ("certify", {"trials": 40}, "depth", 2),
+    ("certify", {"trials": 40}, "alpha", 1.0),
+    ("certify", {"trials": 40}, "delta", 0.3),
+    ("certify", {"trials": 40}, "trials", 41),
+    ("certify", {"trials": 40}, "seed", 3),
+    ("certify", {"trials": 40}, "out", "out/cert.json"),
+    ("adaptivity", {"depth": 5, "trials": 20}, "depth", 4),
+    ("adaptivity", {"depth": 5, "trials": 20}, "trials", 21),
+    ("adaptivity", {"depth": 5, "trials": 20}, "seed", 4),
+    ("adaptivity", {"depth": 5, "trials": 20}, "alpha", 0.3),
+    ("adaptivity", {"depth": 5, "trials": 20}, "delta", 0.3),
+    ("adaptivity", {"depth": 5, "trials": 20}, "out", "out/adapt.json"),
+    ("discretize", {}, "mu", 0.5),
+    ("discretize", {}, "sigma", 2.0),
+    ("discretize", {}, "eps", 0.2),
+    ("discretize", {}, "step", 0.01),
+    ("discretize", {}, "out", "out/hist.json"),
+]
+
+
+@pytest.mark.parametrize("command, base, field, value", FIELD_CASES)
+def test_each_document_field_equals_its_flag(capsys, tmp_path, monkeypatch,
+                                             command, base, field, value):
+    # every field takes effect, and its document form and flag form agree
+    monkeypatch.chdir(tmp_path)
+    outdir = Path("out")
+    outdir.mkdir()
+
+    def outputs(doc, flags=()):
+        cfg = write_json(tmp_path / "doc.json", doc)
+        code, out = run_cli(capsys, [command, "--config", cfg, *flags])
+        assert code == 0
+        files = {path.name: path.read_text() for path in sorted(outdir.iterdir())}
+        for path in outdir.iterdir():
+            path.unlink()
+        return out, files
+
+    from_doc = outputs({**base, field: value})
+    assert from_doc == outputs(base, [f"--{field}", str(value)])
+    assert from_doc != outputs(base)
+    if field == "out":
+        assert set(from_doc[1]) == {Path(value).name}
+
+
+def test_certify_rejects_bucket_size_flag(capsys):
+    for size in ("4", "0"):
+        with pytest.raises(SystemExit) as info:
+            main(["certify", "--bucket-size", size, "--trials", "10"])
+        assert info.value.code == 2
+    assert "--bucket-size" in capsys.readouterr().err
+
+
+def test_certify_bucketed_tree_through_class(capsys, tmp_path):
+    cfg = write_json(tmp_path / "cert.json", {
+        "class": {"constructor": "tree", "depth": 2, "bucket_size": 2}, "trials": 50})
+    code, out = run_cli(capsys, ["certify", "--config", cfg])
+    assert code == 0
+    # 3 internal nodes plus 4 leaf buckets of 2 arms
+    assert len(json.loads(out)["certify"]["output_distribution"]) == 11
+
+
+@pytest.mark.parametrize("sup", [[], ["--sup"]])
+def test_dec_rejects_an_empty_anchor_list(tmp_path, k3_class, sup):
+    for doc in ([], {"anchors": []}):
+        anchors = write_json(tmp_path / "anchors.json", doc)
+        with pytest.raises(ValueError, match="need at least one anchor candidate"):
+            main(["dec", "--config", k3_class, "--eps", "0.5", "--alpha", "0.5",
+                  "--anchors", anchors, *sup])
+
+
+def test_document_commands_take_flags_only_from_their_field_tables():
+    from maximin_bandits.cli import (
+        ADAPTIVITY_FIELDS, CERTIFY_FIELDS, DISCRETIZE_FIELDS, RUN_FIELDS, SWEEP_FIELDS,
+        build_parser,
+    )
+
+    tables = {"run": RUN_FIELDS, "sweep": SWEEP_FIELDS, "certify": CERTIFY_FIELDS,
+              "adaptivity": ADAPTIVITY_FIELDS, "discretize": DISCRETIZE_FIELDS}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.choices and "run" in a.choices).choices
+    for name, fields in tables.items():
+        options = {s for action in commands[name]._actions for s in action.option_strings}
+        assert options == {"-h", "--help", "--config", *(f"--{field}" for field in fields)}, name
+    # and every field has its case in FIELD_CASES
+    assert {(c, f) for c, _, f, _ in FIELD_CASES} == {
+        (name, field) for name, fields in tables.items() for field in fields}

@@ -11,8 +11,6 @@ from maximin_bandits.core import (
     NoiseSpec,
     Transcript,
     gap_matrix,
-    argmax_arm,
-    sample_reward,
     sample_rewards,
     trial_seed,
     two_point_support,
@@ -198,7 +196,6 @@ def test_deterministic_sampling_returns_means():
     rng = np.random.default_rng(0)
     out = sample_rewards(m, 1, 5, rng)
     np.testing.assert_allclose(out, np.full(5, 0.7))
-    assert sample_reward(m, 2, rng) == pytest.approx(1.0)
 
 
 def test_bernoulli_sampling_statistics():
@@ -325,11 +322,6 @@ def test_arm_distribution_sampling_matches_weights():
     assert isinstance(single, int)
 
 
-def test_arm_distribution_expectation():
-    d = ArmDistribution(np.array([0.25, 0.75]))
-    assert d.expectation(np.array([0.0, 1.0])) == pytest.approx(0.75)
-
-
 # ---------------------------------------------------------------------------
 # Transcript
 
@@ -407,8 +399,3 @@ def test_gap_matrix_rejects_alpha_out_of_range():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             gap_matrix(fc, bad)
-
-
-def test_argmax_arm_first_max():
-    fc = FunctionClass(np.array([[0.3, 0.9, 0.9]]))
-    assert argmax_arm(fc, 0) == 1

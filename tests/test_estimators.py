@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from maximin_bandits.estimators import (
     MoMConfig,
     chernoff_sample_count,
-    empirical_mean,
     median_of_means,
     median_of_means_sample_count,
     mom_groups,
@@ -47,12 +46,6 @@ def test_mom_groups_values():
     assert mom_groups(0.9) >= 1
 
 
-def test_empirical_mean_basic():
-    assert empirical_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        empirical_mean([])
-
-
 def test_median_of_means_hand_example():
     samples = [0, 2, 0, 2, 100, 2, 0, 2, 0]
     est = median_of_means(samples, MoMConfig(groups=3))
@@ -86,8 +79,6 @@ def test_median_of_means_rejects_short_input():
 def test_mom_config_validation():
     with pytest.raises(ValueError):
         MoMConfig(groups=0)
-    with pytest.raises(ValueError):
-        MoMConfig(groups=2, c_m=0.0)
 
 
 @given(

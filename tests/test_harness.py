@@ -278,12 +278,13 @@ def test_adaptivity_json_shape():
 
 
 def test_sweep_grid_and_errors(tmp_path):
+    out = tmp_path / "sweep.csv"
     cfg = tree_config(
         trials=5,
         grid={"params.alpha": [0.2, 0.4], "noise.kind": ["bernoulli", "gaussian"]},
+        out_path=str(out),
     )
-    out = tmp_path / "sweep.csv"
-    result = sweep(cfg, out_path=str(out))
+    result = sweep(cfg)
     assert len(result.cells) == 4
     # "gaussian" without a sigma is an invalid noise spec: those cells record
     # the error and the sweep continues
@@ -402,9 +403,9 @@ def test_sweep_records_null_trials_and_declared_counts():
 @pytest.mark.parametrize("key", ["seed", "experiment_id"])
 def test_sweep_rejects_per_cell_keys_in_grid(tmp_path, key):
     out = tmp_path / "sweep.csv"
-    cfg = tree_config(trials=2, grid={"params.alpha": [0.2], key: [1, None]})
+    cfg = tree_config(trials=2, grid={"params.alpha": [0.2], key: [1, None]}, out_path=str(out))
     with pytest.raises(ValueError, match=f"sweep grid cannot set {key}"):
-        sweep(cfg, out_path=str(out))
+        sweep(cfg)
     assert not out.exists()
 
 

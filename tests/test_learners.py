@@ -18,7 +18,6 @@ from maximin_bandits.learners import (
     OnlineRegressionOracle,
     UnlearnableInstanceError,
     est_bound,
-    online_regression_weights,
     run_e2d,
     run_empirical_mean_learner,
     run_median_of_means_learner,
@@ -43,24 +42,30 @@ def test_learner_params_validation():
 def test_learner_params_json_rejects_non_numbers():
     base = {"alpha": 0.2, "delta": 0.1}
     for key, bad in [("sigma", "wide"), ("c_m", [4]), ("budget", "ten"), ("budget", 2.5),
-                     ("horizon", "T"), ("reps_per_arm", 1.5), ("alpha", None)]:
-        with pytest.raises(ValueError, match=f"params.{key}"):
+                     ("horizon", "T"), ("reps_per_arm", 1.5), ("alpha", None), ("c_m", "2"),
+                     ("horizon", True)]:
+        with pytest.raises(ValueError, match=f"params.{key} must be"):
             LearnerParams.from_json({**base, key: bad})
-    p = LearnerParams.from_json({**base, "sigma": 1, "c_m": "2", "budget": 3.0})
+    p = LearnerParams.from_json({**base, "sigma": 1, "c_m": 2, "budget": 3.0})
     assert (p.sigma, p.c_m, p.budget) == (1.0, 2.0, 3)
-    assert type(p.sigma) is float and type(p.budget) is int
+    assert type(p.sigma) is float and type(p.c_m) is float and type(p.budget) is int
 
 
 def test_learner_params_json_aliases():
-    # "T" and "cM" are accepted aliases on input; output uses canonical names
-    p = LearnerParams.from_json(
-        {"alpha": 0.2, "delta": 0.1, "T": 400, "cM": 2.0, "sigma": 1.5}
-    )
-    assert p.horizon == 400
-    assert p.c_m == pytest.approx(2.0)
+    # every field round-trips under its one canonical name
+    p = LearnerParams(alpha=0.2, delta=0.1, sigma=1.5, c_m=2.0, horizon=400, budget=7,
+                      reps_per_arm=3)
     doc = p.to_json()
-    assert doc["horizon"] == 400 and doc["c_m"] == pytest.approx(2.0)
+    assert set(doc) == {"alpha", "delta", "sigma", "c_m", "horizon", "budget", "reps_per_arm"}
     assert LearnerParams.from_json(doc) == p
+    assert LearnerParams.from_json({"alpha": 0.2, "delta": 0.1}).to_json() == {
+        "alpha": 0.2, "delta": 0.1}
+
+
+@pytest.mark.parametrize("key", ["cM", "T", "horizn"])
+def test_learner_params_json_rejects_unknown_keys(key):
+    with pytest.raises(ValueError, match=f"unknown learner parameter params.{key} "):
+        LearnerParams.from_json({"alpha": 0.2, "delta": 0.1, key: 4})
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +356,6 @@ def test_oracle_concentrates_on_truth():
         arm = int(rng.integers(3))
         oracle.update(arm, model.mean(arm))
     assert oracle.weights[1] > 0.97
-
-
-def test_online_regression_weights_matches_incremental():
-    fclass = make_k_armed(3)
-    history = [(0, 1.0), (1, 0.0), (2, 0.0), (0, 1.0)]
-    w = online_regression_weights(fclass, history)
-    oracle = OnlineRegressionOracle(fclass)
-    for arm, r in history:
-        oracle.update(arm, r)
-    np.testing.assert_allclose(w, oracle.weights, atol=1e-12)
 
 
 def test_est_bound_formula():
