@@ -17,6 +17,7 @@ from .core import (
     Transcript,
     gap_matrix,
     sample_rewards,
+    to_json,
     trial_seed,
     two_point_support,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "Transcript",
     "gap_matrix",
     "sample_rewards",
+    "to_json",
     "trial_seed",
     "two_point_support",
     "DecResult",

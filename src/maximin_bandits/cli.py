@@ -16,15 +16,17 @@ import argparse
 import json
 import sys
 
-from .core import config_number
+from .core import check_keys, config_number, to_json
 from .dec import default_anchor_candidates, dec_at, dec_sup
 from .environments import make_gaussian_histogram, tv_distance, GaussianDensity
 from .games import gamma
 from .harness import (
+    EXPERIMENT_KEYS,
     ExperimentConfig,
     adaptivity_experiment,
     build_function_class,
     certify_lower_bound,
+    csv_text,
     fixed_arm_prober,
     monte_carlo,
     sweep,
@@ -37,7 +39,9 @@ META = {"log_base": "natural"}
 # The fields each document-reading subcommand takes from ``--config`` or a
 # flag of the same name: name -> (type, default).  A tuple type lists a
 # string field's choices; a None default leaves the field to the document.
-# These tables are the only source of those subcommands' flags.
+# These tables are the only source of those subcommands' flags.  A document
+# key outside its table and the subcommand's other document keys (below) is
+# an error.
 RUN_FIELDS = {"seed": (int, None), "trials": (int, None), "out": (str, None),
               "format": (("csv", "json"), None)}
 SWEEP_FIELDS = {"seed": (int, None), "out": (str, None)}
@@ -67,8 +71,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def _cmd_gamma(args) -> int:
     fclass, _ = build_function_class(_load_json(args.config))
-    cert = gamma(fclass, args.alpha, tolerance=args.tolerance)
-    _emit({"certificate": cert.to_json()}, args.out)
+    cert = gamma(fclass, args.alpha)
+    _emit({"certificate": to_json(cert)}, args.out)
     return 0
 
 
@@ -87,12 +91,15 @@ def _cmd_dec(args) -> int:
     else:
         result = dec_at(fclass, anchors[0], args.eps, args.alpha,
                         resolution=args.resolution)
-    _emit({"dec": result.to_json()}, args.out)
+    _emit({"dec": to_json(result)}, args.out)
     return 0
 
 
 def _cmd_run(args) -> int:
-    doc = _merged(args, RUN_FIELDS)
+    # a run writes no grid, and writes its records in ``format`` only to ``out``
+    doc = _merged(args, RUN_FIELDS, [key for key in EXPERIMENT_KEYS if key != "grid"])
+    if "format" in doc and not doc.get("out"):
+        raise ValueError(f"run writes format {doc['format']!r} only with an out path")
     result = monte_carlo(ExperimentConfig.from_json(doc))
     _emit(
         {
@@ -110,19 +117,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_json(_merged(args, SWEEP_FIELDS))
+    config = ExperimentConfig.from_json(_merged(args, SWEEP_FIELDS, EXPERIMENT_KEYS))
     result = sweep(config)
     if not config.out_path:
-        sys.stdout.write(result.to_csv())
+        sys.stdout.write(csv_text(result.columns, result.cells))
     return 0
 
 
-def _merged(args, fields: dict) -> dict:
+def _merged(args, fields: dict, other_keys=()) -> dict:
     """Defaults, then the ``--config`` document, then explicitly passed flags;
-    every numeric field is converted with ``config_number``."""
+    every numeric field is converted with ``config_number``.  A document key
+    that is neither a field nor one of ``other_keys`` raises ValueError."""
     doc = {name: default for name, (_, default) in fields.items() if default is not None}
     if args.config:
-        doc.update(_load_json(args.config))
+        loaded = _load_json(args.config)
+        check_keys(loaded, [*fields, *other_keys], f"{args.command} document key")
+        doc.update(loaded)
     for name, (kind, _) in fields.items():
         value = getattr(args, name)
         if value is not None:
@@ -132,22 +142,27 @@ def _merged(args, fields: dict) -> dict:
     return doc
 
 
+#: The key each certify prober kind reads besides ``kind``.
+_PROBER_KEYS = {"tree-descent": "reps", "fixed-arm": "arm", "witness": "alpha"}
+
+
 def _build_prober(fclass, meta, spec: dict):
     kind = spec.get("kind", "tree-descent")
+    if kind not in _PROBER_KEYS:
+        raise ValueError(f"unknown prober kind {kind!r}")
+    check_keys(spec, ("kind", _PROBER_KEYS[kind]), "prober key", "prober.")
     if kind == "tree-descent":
         if meta is None:
             raise ValueError("tree-descent prober requires a tree class")
         return tree_descent_prober(meta, config_number(spec.get("reps", 1), int, "prober.reps"))
     if kind == "fixed-arm":
         return fixed_arm_prober(config_number(spec.get("arm", 0), int, "prober.arm"))
-    if kind == "witness":
-        cert = gamma(fclass, config_number(spec.get("alpha"), float, "prober.alpha"))
-        return witness_prober(cert.p_star)
-    raise ValueError(f"unknown prober kind {kind!r}")
+    cert = gamma(fclass, config_number(spec.get("alpha"), float, "prober.alpha"))
+    return witness_prober(cert.p_star)
 
 
 def _cmd_certify(args) -> int:
-    doc = _merged(args, CERTIFY_FIELDS)
+    doc = _merged(args, CERTIFY_FIELDS, ("class", "prober"))
     if "depth" in doc and "class" in doc:
         raise ValueError("certify takes depth (a bucket-1 tree) or class, not both")
     spec = doc.get("class", {"constructor": "tree", "depth": doc.get("depth", 1), "bucket_size": 1})
@@ -156,7 +171,7 @@ def _cmd_certify(args) -> int:
     report = certify_lower_bound(
         fclass, prober, doc["alpha"], doc["delta"], trials=doc["trials"], seed=doc["seed"],
     )
-    _emit({"certify": report.to_json()}, doc.get("out"))
+    _emit({"certify": to_json(report)}, doc.get("out"))
     return 0
 
 
@@ -166,7 +181,7 @@ def _cmd_adaptivity(args) -> int:
         doc["depth"], trials=doc["trials"], seed=doc["seed"],
         alpha=doc["alpha"], delta=doc["delta"],
     )
-    _emit({"adaptivity": report.to_json()}, doc.get("out"))
+    _emit({"adaptivity": to_json(report)}, doc.get("out"))
     return 0
 
 
@@ -177,7 +192,7 @@ def _cmd_discretize(args) -> int:
     tv = tv_distance(hist, GaussianDensity(mu, sigma), step=doc["step"])
     _emit(
         {
-            "histogram": hist.to_json(),
+            "histogram": to_json(hist),
             "buckets": len(hist.masses),
             "tv_distance": tv,
             "tv_within_eps": bool(tv <= eps),
@@ -198,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="solve the maximin coverage game for a class")
     p.add_argument("--config", required=True, help="function class JSON")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gamma)
 

@@ -13,7 +13,7 @@ integer seeds derived via :func:`trial_seed`, so a run is a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +21,8 @@ __all__ = [
     "CapacityError",
     "PrecisionError",
     "config_number",
+    "check_keys",
+    "to_json",
     "FunctionClass",
     "NoiseSpec",
     "Model",
@@ -93,6 +95,13 @@ def config_number(value, kind: type, name: str):
     return int(number)
 
 
+def check_keys(doc: dict, known, what: str, prefix: str = "") -> None:
+    """Raise ValueError naming the first key of ``doc`` that is not in ``known``."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {what} {prefix}{key} (known: {', '.join(known)})")
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -144,16 +153,6 @@ class FunctionClass:
         if not 0 <= function < self.n_functions:
             raise IndexError(f"function index {function} out of range")
         return self.means[function]
-
-    def to_json(self) -> dict:
-        doc = {
-            "arms": self.n_arms,
-            "functions": self.n_functions,
-            "means": [[float(v) for v in row] for row in self.means],
-        }
-        if self.labels is not None:
-            doc["labels"] = self.labels
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionClass":
@@ -243,16 +242,9 @@ class NoiseSpec:
             return p_hi * (hi - mean) ** 2 + (1.0 - p_hi) * (lo - mean) ** 2
         return float(self.sigma) ** 2
 
-    def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.sigma is not None:
-            doc["sigma"] = self.sigma
-        if self.c is not None:
-            doc["c"] = self.c
-        return doc
-
     @classmethod
     def from_json(cls, doc: dict) -> "NoiseSpec":
+        check_keys(doc, [f.name for f in fields(cls)], "noise key", "noise.")
         sigma, c = doc.get("sigma"), doc.get("c")
         return cls(
             doc["kind"],
@@ -297,22 +289,6 @@ class Model:
     @property
     def true_means(self) -> np.ndarray:
         return self.function_class.means[self.true_function]
-
-    def mean(self, arm: int) -> float:
-        if not 0 <= arm < self.function_class.n_arms:
-            raise IndexError(f"arm {arm} out of range")
-        return float(self.true_means[arm])
-
-    def optimal_arms(self, alpha: float) -> np.ndarray:
-        """Arms whose mean is within alpha of the best mean (alpha >= 0)."""
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        row = self.true_means
-        return np.flatnonzero(row.max() - row <= alpha)
-
-    @property
-    def best_arm(self) -> int:
-        return int(np.argmax(self.true_means))
 
 
 def sample_rewards(model: Model, arm, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -440,14 +416,6 @@ class Transcript:
     def total_queries(self) -> int:
         return int(self.arms.size)
 
-    @property
-    def rounds(self) -> np.ndarray:
-        return np.arange(1, self.total_queries + 1, dtype=np.int64)
-
-    def records(self) -> list[tuple[int, int, float]]:
-        """Materialize (round, arm, reward) triples; rounds start at 1."""
-        return list(zip(self.rounds.tolist(), self.arms.tolist(), self.rewards.tolist()))
-
 
 def gap_matrix(fclass: FunctionClass, alpha: float) -> np.ndarray:
     """Binary matrix marking which arms are alpha-optimal under each function.
@@ -461,3 +429,24 @@ def gap_matrix(fclass: FunctionClass, alpha: float) -> np.ndarray:
     means = fclass.means
     gaps = means.max(axis=1, keepdims=True) - means
     return (gaps <= alpha).astype(np.int8)
+
+
+def to_json(obj) -> dict:
+    """The JSON document of a dataclass: one key per field, in field order.
+
+    The key is the field name unless the field's ``metadata["key"]`` renames
+    it, or leaves the field out when it is None.  A field that holds its
+    default is left out; an array or an ``ArmDistribution`` is written as a
+    list.
+    """
+    doc = {}
+    for f in fields(obj):
+        key = f.metadata.get("key", f.name)
+        value = getattr(obj, f.name)
+        if isinstance(value, ArmDistribution):
+            value = value.probs
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if key is not None and (f.default is MISSING or value != f.default):
+            doc[key] = value
+    return doc

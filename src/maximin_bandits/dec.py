@@ -76,18 +76,6 @@ class DecResult:
     search_resolution: float
     bound_direction: str
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "p_witness": [float(v) for v in self.p_witness.probs],
-            "q_witness": [float(v) for v in self.q_witness.probs],
-            "anchor": [float(v) for v in self.anchor],
-            "eps": self.eps,
-            "alpha": self.alpha,
-            "search_resolution": self.search_resolution,
-            "bound_direction": self.bound_direction,
-        }
-
 
 def simplex_grid(dim: int, resolution: float) -> np.ndarray:
     """All probability vectors over ``dim`` coordinates with entries that are

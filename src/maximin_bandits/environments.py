@@ -274,12 +274,6 @@ class PiecewiseUniform:
         # Compact support: the breakpoint range covers all mass regardless of tail.
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": [float(v) for v in self.breakpoints],
-            "masses": [float(v) for v in self.masses],
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "PiecewiseUniform":
         return cls(

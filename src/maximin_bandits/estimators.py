@@ -21,6 +21,7 @@ __all__ = [
     "row_medians_of_means",
 ]
 
+#: The constant c_m of the median-of-means per-arm sample count.
 DEFAULT_CM = 4.0
 
 
@@ -48,11 +49,9 @@ def chernoff_sample_count(alpha: float, delta: float, m: int) -> int:
     return math.ceil(8.0 / (alpha * alpha) * math.log(4.0 * m / delta))
 
 
-def median_of_means_sample_count(
-    alpha: float, delta: float, m: int, sigma: float, c_m: float = DEFAULT_CM
-) -> int:
+def median_of_means_sample_count(alpha: float, delta: float, m: int, sigma: float) -> int:
     """Per-arm queries for variance-bounded rewards:
-    ceil(16 c_m sigma^2 ln(2m/delta) / alpha^2).
+    ceil(16 c_m sigma^2 ln(2m/delta) / alpha^2) with c_m = ``DEFAULT_CM``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -62,9 +61,7 @@ def median_of_means_sample_count(
         raise ValueError("m must be >= 1")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    if not c_m > 0:
-        raise ValueError("c_m must be positive")
-    return math.ceil(16.0 * c_m * sigma * sigma * math.log(2.0 * m / delta) / (alpha * alpha))
+    return math.ceil(16.0 * DEFAULT_CM * sigma * sigma * math.log(2.0 * m / delta) / (alpha * alpha))
 
 
 def mom_groups(delta: float) -> int:

@@ -34,6 +34,9 @@ __all__ = [
 
 _PIVOT_TOL = 1e-11
 
+#: Slack within which ``verify_certificate`` accepts a gamma certificate.
+CERTIFICATE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class MaximinSolution:
@@ -150,16 +153,6 @@ class GammaCertificate:
     alpha: float
     tolerance: float
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "p_star": [float(v) for v in self.p_star.probs],
-            "worst_function": self.worst_function,
-            "dual_weights": [float(v) for v in self.dual_weights],
-            "alpha": self.alpha,
-            "tolerance": self.tolerance,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "GammaCertificate":
         return cls(
@@ -172,14 +165,12 @@ class GammaCertificate:
         )
 
 
-def gamma(fclass: FunctionClass, alpha: float, tolerance: float = 1e-9) -> GammaCertificate:
+def gamma(fclass: FunctionClass, alpha: float) -> GammaCertificate:
     """Maximin probability of hitting an alpha-optimal arm, with certificate.
 
     Always positive for a finite class: the uniform mixture covers every
     function with probability at least 1/arms.
     """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
     B = gap_matrix(fclass, alpha).astype(float)
     sol = solve_maximin(B)
     coverage = B @ sol.p.probs
@@ -189,7 +180,7 @@ def gamma(fclass: FunctionClass, alpha: float, tolerance: float = 1e-9) -> Gamma
         worst_function=int(np.argmin(coverage)),
         dual_weights=sol.dual,
         alpha=float(alpha),
-        tolerance=float(tolerance),
+        tolerance=CERTIFICATE_TOLERANCE,
     )
     if not verify_certificate(fclass, alpha, cert):
         raise RuntimeError("maximin solver produced an unverifiable certificate")

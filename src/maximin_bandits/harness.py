@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from .core import (
     Model,
     NoiseSpec,
     Transcript,
+    check_keys,
     config_number,
     gap_matrix,
+    to_json,
     trial_seed,
 )
 from .environments import TreeMeta, make_k_armed, make_linear_net_class, make_singletons, make_tree_class
@@ -43,6 +45,7 @@ from .learners import (
 
 __all__ = [
     "CSV_COLUMNS",
+    "EXPERIMENT_KEYS",
     "TrialRecord",
     "ExperimentConfig",
     "MonteCarloResult",
@@ -56,24 +59,10 @@ __all__ = [
     "sweep",
     "save_trial_records",
     "records_to_csv",
+    "csv_text",
     "tree_descent_prober",
     "fixed_arm_prober",
     "witness_prober",
-]
-
-CSV_COLUMNS = [
-    "experiment_id",
-    "seed",
-    "trial",
-    "learner",
-    "class",
-    "alpha",
-    "delta",
-    "queries",
-    "success",
-    "output_arm",
-    "gamma",
-    "runtime_ms",
 ]
 
 #: Hard cap on per-trial budgets accepted by the lower-bound certifier: the
@@ -92,59 +81,38 @@ class TrialRecord:
     seed: int
     trial: int
     learner: str
-    class_name: str
+    class_name: str = field(metadata={"key": "class"})
     alpha: float
     delta: float
     queries: int
     success: bool
     output_arm: int
-    gamma_value: float
+    gamma_value: float = field(metadata={"key": "gamma"})
     runtime_ms: float
     error: str = ""
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.experiment_id,
-            str(self.seed),
-            str(self.trial),
-            self.learner,
-            self.class_name,
-            repr(self.alpha),
-            repr(self.delta),
-            str(self.queries),
-            "true" if self.success else "false",
-            str(self.output_arm),
-            repr(self.gamma_value),
-            repr(self.runtime_ms),
-        ]
 
-    def to_json(self) -> dict:
-        doc = {
-            "experiment_id": self.experiment_id,
-            "seed": self.seed,
-            "trial": self.trial,
-            "learner": self.learner,
-            "class": self.class_name,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "queries": self.queries,
-            "success": self.success,
-            "output_arm": self.output_arm,
-            "gamma": self.gamma_value,
-            "runtime_ms": self.runtime_ms,
-        }
-        if self.error:
-            doc["error"] = self.error
-        return doc
+#: The records CSV header: every encoded record key but ``error``.
+CSV_COLUMNS = [f.metadata.get("key", f.name) for f in fields(TrialRecord) if f.name != "error"]
+
+
+def csv_text(columns, rows, cell=str) -> str:
+    """A header line, then one line per row mapping column -> value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell(row[col]) for col in columns] for row in rows)
+    return buf.getvalue()
+
+
+def _record_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def records_to_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.csv_row())
-    return buf.getvalue()
+    return csv_text(CSV_COLUMNS, map(to_json, records), _record_cell)
 
 
 def save_trial_records(records, path: str, fmt: str = "csv") -> None:
@@ -152,11 +120,20 @@ def save_trial_records(records, path: str, fmt: str = "csv") -> None:
     if fmt == "csv":
         payload = records_to_csv(records)
     elif fmt == "json":
-        payload = json.dumps([rec.to_json() for rec in records], indent=2) + "\n"
+        payload = json.dumps([to_json(rec) for rec in records], indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", newline="") as fh:
         fh.write(payload)
+
+
+#: The fields of each named class constructor, in argument order: name -> type.
+_CONSTRUCTOR_FIELDS = {
+    "k-armed": {"k": int},
+    "singletons": {"n": int},
+    "tree": {"depth": int, "bucket_size": int},
+    "linear-net": {"dimension": int, "alpha": float},
+}
 
 
 def build_function_class(spec: dict) -> tuple[FunctionClass, TreeMeta | None]:
@@ -164,25 +141,30 @@ def build_function_class(spec: dict) -> tuple[FunctionClass, TreeMeta | None]:
 
     Either an inline matrix ({"means": [[...]], ...}) or a named constructor:
     {"constructor": "k-armed" | "singletons" | "tree" | "linear-net", ...}.
+    A key the spec's form does not read is a ValueError.
     """
     if "means" in spec:
+        check_keys(spec, ("means", "arms", "functions", "labels"), "class key", "class.")
         return FunctionClass.from_json(spec), None
     ctor = spec.get("constructor")
-
-    def number(name: str, kind: type = int):
+    if ctor not in _CONSTRUCTOR_FIELDS:
+        raise ValueError(f"unknown class spec {spec!r}")
+    check_keys(spec, ("constructor", *_CONSTRUCTOR_FIELDS[ctor]), "class key", "class.")
+    args = []
+    for name, kind in _CONSTRUCTOR_FIELDS[ctor].items():
         if name not in spec:
             raise ValueError(f"class spec {ctor!r} requires class.{name}")
-        return config_number(spec[name], kind, f"class.{name}")
-
-    if ctor == "k-armed":
-        return make_k_armed(number("k")), None
-    if ctor == "singletons":
-        return make_singletons(number("n")), None
+        args.append(config_number(spec[name], kind, f"class.{name}"))
     if ctor == "tree":
-        return make_tree_class(number("depth"), number("bucket_size"))
-    if ctor == "linear-net":
-        return make_linear_net_class(number("dimension"), number("alpha", float)), None
-    raise ValueError(f"unknown class spec {spec!r}")
+        return make_tree_class(*args)
+    make = {"k-armed": make_k_armed, "singletons": make_singletons,
+            "linear-net": make_linear_net_class}[ctor]
+    return make(*args), None
+
+
+#: The keys of an experiment document, as ``ExperimentConfig.from_json`` reads them.
+EXPERIMENT_KEYS = ("class", "noise", "learner", "params", "trials", "seed", "true_function",
+                   "experiment_id", "out", "format", "record_runtime", "grid")
 
 
 @dataclass(frozen=True)
@@ -222,6 +204,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        check_keys(doc, EXPERIMENT_KEYS, "experiment key")
         true_f = doc.get("true_function")
         record_runtime = doc.get("record_runtime", False)
         if not isinstance(record_runtime, bool):
@@ -413,18 +396,6 @@ class CertifyReport:
     trials: int
     certified: bool
 
-    def to_json(self) -> dict:
-        return {
-            "output_distribution": [float(v) for v in self.output_distribution.probs],
-            "min_coverage": self.min_coverage,
-            "worst_function": self.worst_function,
-            "bound": self.bound,
-            "slack": self.slack,
-            "budget": self.budget,
-            "trials": self.trials,
-            "certified": self.certified,
-        }
-
 
 def certify_lower_bound(
     fclass: FunctionClass,
@@ -540,7 +511,7 @@ class AdaptivityReport:
     """
 
     depth: int
-    gamma_value: float
+    gamma_value: float = field(metadata={"key": "gamma"})
     trials: int
     non_adaptive_budget: int
     adaptive_success_rate: float
@@ -548,21 +519,8 @@ class AdaptivityReport:
     non_adaptive_failure_rate: float
     slack: float
     separation_holds: bool
-    adaptive_records: list
-    non_adaptive_records: list
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "gamma": self.gamma_value,
-            "trials": self.trials,
-            "non_adaptive_budget": self.non_adaptive_budget,
-            "adaptive_success_rate": self.adaptive_success_rate,
-            "adaptive_mean_queries": self.adaptive_mean_queries,
-            "non_adaptive_failure_rate": self.non_adaptive_failure_rate,
-            "slack": self.slack,
-            "separation_holds": self.separation_holds,
-        }
+    adaptive_records: list = field(metadata={"key": None})
+    non_adaptive_records: list = field(metadata={"key": None})
 
 
 def adaptivity_experiment(
@@ -632,14 +590,6 @@ class SweepResult:
     cells: list
     columns: list
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for cell in self.cells:
-            writer.writerow([str(cell[col]) for col in self.columns])
-        return buf.getvalue()
-
 
 def _apply_override(doc: dict, dotted: str, value) -> None:
     parts = dotted.split(".")
@@ -670,9 +620,9 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     keys = sorted(config.grid)
     base = {
         "class": dict(config.class_spec),
-        "noise": config.noise.to_json(),
+        "noise": to_json(config.noise),
         "learner": config.learner,
-        "params": config.params.to_json(),
+        "params": to_json(config.params),
         "trials": config.trials,
         "true_function": config.true_function,
         "record_runtime": config.record_runtime,
@@ -705,5 +655,5 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     result = SweepResult(cells=cells, columns=columns)
     if config.out_path:
         with open(config.out_path, "w", newline="") as fh:
-            fh.write(result.to_csv())
+            fh.write(csv_text(columns, cells))
     return result

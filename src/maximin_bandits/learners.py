@@ -36,6 +36,7 @@ from .core import (
     FunctionClass,
     Model,
     Transcript,
+    check_keys,
     config_number,
     gap_matrix,
     sample_rewards,
@@ -43,7 +44,6 @@ from .core import (
 from .dec import dec_at, version_set
 from .environments import TreeMeta
 from .estimators import (
-    DEFAULT_CM,
     MoMConfig,
     chernoff_sample_count,
     median_of_means,  # noqa: F401  (perfbench counts calls made through this name)
@@ -92,7 +92,6 @@ class LearnerParams:
     alpha: float
     delta: float
     sigma: float | None = None
-    c_m: float | None = None
     horizon: int | None = None
     budget: int | None = None
     reps_per_arm: int = 1
@@ -104,8 +103,6 @@ class LearnerParams:
             raise ValueError("delta must lie in (0, 1)")
         if self.sigma is not None and not self.sigma > 0:
             raise ValueError("sigma must be positive when given")
-        if self.c_m is not None and not self.c_m > 0:
-            raise ValueError("c_m must be positive when given")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1 when given")
         if self.budget is not None and self.budget < 0:
@@ -113,25 +110,10 @@ class LearnerParams:
         if self.reps_per_arm < 1:
             raise ValueError("reps_per_arm must be >= 1")
 
-    def to_json(self) -> dict:
-        doc = {"alpha": self.alpha, "delta": self.delta}
-        for key in ("sigma", "c_m", "horizon", "budget"):
-            val = getattr(self, key)
-            if val is not None:
-                doc[key] = val
-        if self.reps_per_arm != 1:
-            doc["reps_per_arm"] = self.reps_per_arm
-        return doc
-
     @classmethod
     def from_json(cls, doc: dict) -> "LearnerParams":
-        """Read the fields ``to_json`` writes; any other key is an error."""
-        known = [f.name for f in fields(cls)]
-        unknown = sorted(set(doc) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown learner parameter params.{unknown[0]} (known: {', '.join(known)})"
-            )
+        """Read the fields ``core.to_json`` writes; any other key is an error."""
+        check_keys(doc, [f.name for f in fields(cls)], "learner parameter", "params.")
 
         def optional(key, kind):
             value = doc.get(key)
@@ -141,7 +123,6 @@ class LearnerParams:
             alpha=config_number(doc.get("alpha"), float, "params.alpha"),
             delta=config_number(doc.get("delta"), float, "params.delta"),
             sigma=optional("sigma", float),
-            c_m=optional("c_m", float),
             horizon=optional("horizon", int),
             budget=optional("budget", int),
             reps_per_arm=config_number(doc.get("reps_per_arm", 1), int, "params.reps_per_arm"),
@@ -240,10 +221,9 @@ def run_median_of_means_learner(
     )
     if worst_var > params.sigma**2 + 1e-12:
         raise ValueError("model reward variance exceeds the declared sigma^2")
-    c_m = params.c_m if params.c_m is not None else DEFAULT_CM
 
     cert, p_star, m = _witness_sampling_phase(fclass, params, cert)
-    n_per = median_of_means_sample_count(params.alpha, params.delta, m, params.sigma, c_m)
+    n_per = median_of_means_sample_count(params.alpha, params.delta, m, params.sigma)
     groups = mom_groups(params.delta)
     if n_per < groups:
         raise ValueError(

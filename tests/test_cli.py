@@ -53,6 +53,7 @@ def test_dec_command_sup(capsys, k3_class):
 
 
 def test_dec_command_vertex_anchors(capsys, tmp_path):
+    from maximin_bandits.core import to_json
     from maximin_bandits.dec import dec_sup
     from maximin_bandits.environments import make_tree_class
 
@@ -66,7 +67,7 @@ def test_dec_command_vertex_anchors(capsys, tmp_path):
     assert code == 0
     fclass, _ = make_tree_class(2, 1)
     vertices = list(np.eye(fclass.n_functions))
-    expected = dec_sup(fclass, 0.5, 0.3, anchors=vertices, resolution=0.1).to_json()
+    expected = to_json(dec_sup(fclass, 0.5, 0.3, anchors=vertices, resolution=0.1))
     assert json.loads(out)["dec"] == expected
 
 
@@ -248,6 +249,20 @@ SWEEP_DOC = {
          "unknown learner parameter params.T"),
         ("sweep", {**SWEEP_DOC, "params": {**SWEEP_DOC["params"], "alpah": 0.3}},
          "unknown learner parameter params.alpah"),
+        # document keys that no reader takes
+        ("certify", {"bucket_size": 4, "trials": 20}, "unknown certify document key bucket_size"),
+        ("adaptivity", {"depth": 2, "trial": 5}, "unknown adaptivity document key trial"),
+        ("discretize", {"sgima": 2.0}, "unknown discretize document key sgima"),
+        ("run", {**RUN_DOC, "grid": {"params.alpha": [0.2]}}, "unknown run document key grid"),
+        ("run", {**RUN_DOC, "format": "json"}, "run writes format 'json' only with an out path"),
+        ("run", {**RUN_DOC, "typo_key": 1}, "unknown run document key typo_key"),
+        ("sweep", {**SWEEP_DOC, "typo_key": 1}, "unknown sweep document key typo_key"),
+        ("run", {**RUN_DOC, "class": {**RUN_DOC["class"], "colour": "red"}},
+         "unknown class key class.colour"),
+        ("run", {**RUN_DOC, "noise": {"kind": "gaussian", "sigmaa": 0.3}},
+         "unknown noise key noise.sigmaa"),
+        ("certify", {"prober": {"kind": "tree-descent", "repz": 3}},
+         "unknown prober key prober.repz"),
     ],
 )
 def test_config_documents_name_bad_fields(tmp_path, command, doc, message):

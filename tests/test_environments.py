@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maximin_bandits.core import CapacityError, PrecisionError
+from maximin_bandits.core import CapacityError, PrecisionError, to_json
 from maximin_bandits.environments import (
     GaussianDensity,
     PiecewiseUniform,
@@ -171,7 +171,7 @@ def test_piecewise_uniform_json_round_trip():
         breakpoints=np.array([0.0, 1.0, 2.0, 3.0]),
         masses=np.array([0.0, 1.0, 0.0]),
     )
-    back = PiecewiseUniform.from_json(pw.to_json())
+    back = PiecewiseUniform.from_json(to_json(pw))
     np.testing.assert_allclose(back.breakpoints, pw.breakpoints)
     np.testing.assert_allclose(back.masses, pw.masses)
 

@@ -204,3 +204,82 @@ def test_adaptivity_matches_pinned_digest(capsys, key):
     report = adaptivity_experiment(depth, trials, seed)
     csv_text = records_to_csv(report.adaptive_records + report.non_adaptive_records)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == csv_digest
+
+
+# Every JSON and CSV the commands write, through the encoders: sha256 of
+# stdout, or of the ``--out`` file when the arguments name one.  Recorded
+# before the hand-written ``to_json``/``csv_row``/``to_csv`` methods gave way
+# to one encoder.
+
+TREE_D2 = {"constructor": "tree", "depth": 2, "bucket_size": 1}
+
+#: name -> (arguments before ``--config``, config document or None, sha256)
+GOLDEN_COMMANDS = {
+    "gamma-tree-d3-bucket2": (
+        ["gamma", "--alpha", "0.1"], {"constructor": "tree", "depth": 3, "bucket_size": 2},
+        "1fc4642a765b9724ec10e0d872edc9b3a5419e377cf9220fc37f9af71f896de8",
+    ),
+    "gamma-inline": (
+        ["gamma", "--alpha", "0.3"], INLINE,
+        "027e5c699e60f16344918b8f96fe99ca1eef2c8bcdb0f7167a42dfaef39ca61b",
+    ),
+    "dec-first-anchor": (
+        ["dec", "--eps", "0.5", "--alpha", "0.3"], TREE_D2,
+        "c4d7348f07035a57f9a254c3ac66fb5a5e18968c8a6191b52b3124267bfda3af",
+    ),
+    "dec-sup": (
+        ["dec", "--eps", "0.5", "--alpha", "0.3", "--sup"], TREE_D2,
+        "fd9a373a3fafe8ce2bf3f16e3b4a8943287ac89f68335ab85776c00810290a36",
+    ),
+    "certify-depth-2": (
+        ["certify", "--depth", "2"], None,
+        "4b8e75c97266f02c43a3a004cb52fb0d605b902c792e0478c578215df9192e2f",
+    ),
+    "certify-witness": (
+        ["certify", "--trials", "2000", "--seed", "5"],
+        {"class": INLINE, "prober": {"kind": "witness", "alpha": 0.3}},
+        "797dfd6fad28fe26e9cc2f75045246f4932b449763e61d83259b691f3dde83f1",
+    ),
+    "discretize": (
+        ["discretize", "--mu", "0.5", "--sigma", "2.0", "--eps", "0.2"], None,
+        "7d2e70f94a6d093e51d640cf3ff69498bf0464920bb828743abd54ac34c114f1",
+    ),
+    # the bernoulli cells reject the base noise's sigma and record the error
+    "sweep": (
+        ["sweep"],
+        {
+            "class": INLINE, "noise": {"kind": "gaussian", "sigma": 0.3},
+            "learner": "median-of-means", "params": {"alpha": 0.2, "delta": 0.1, "sigma": 0.3},
+            "trials": 3, "seed": 17,
+            "grid": {"params.alpha": [0.2, 0.3], "noise.kind": ["gaussian", "bernoulli"]},
+        },
+        "6320132201834e9333f55ef40d32826573bd4b0ae2815d802001966ec5fe6241",
+    ),
+    # tree descent on an inline class fails every trial with an error tag
+    "run-json-errors": (
+        ["run", "--format", "json", "--out", "records.json"],
+        {
+            "class": INLINE, "noise": {"kind": "bernoulli"}, "learner": "tree-descent",
+            "params": {"alpha": 0.2, "delta": 0.1}, "trials": 3, "seed": 4,
+        },
+        "b2ad13ef03d2ea974f1a4dfee9ac6990dd554d206d3af84ce26da97d1f342154",
+    ),
+}
+
+
+def command_digest(tmp_path, monkeypatch, capsys, name) -> str:
+    argv, doc, _ = GOLDEN_COMMANDS[name]
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", "config.json"]
+    assert main(argv) == 0
+    payload = capsys.readouterr().out.encode()
+    if "--out" in argv:
+        payload = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+    return hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_command_output_matches_pinned_digest(tmp_path, monkeypatch, capsys, name):
+    assert command_digest(tmp_path, monkeypatch, capsys, name) == GOLDEN_COMMANDS[name][2]

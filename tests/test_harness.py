@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from maximin_bandits.core import ArmDistribution, NoiseSpec
+from maximin_bandits.core import ArmDistribution, NoiseSpec, to_json
 from maximin_bandits.environments import make_tree_class
 from maximin_bandits.harness import (
     CSV_COLUMNS,
@@ -64,6 +64,21 @@ def test_build_function_class_inline_means():
 def test_build_function_class_unknown_spec():
     with pytest.raises(ValueError):
         build_function_class({"constructor": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"constructor": "tree", "depth": 2, "bucket_size": 1, "k": 3}, "class.k"),
+        ({"constructor": "k-armed", "k": 3, "depth": 2}, "class.depth"),
+        ({"constructor": "singletons", "n": 3, "bucket_size": 1}, "class.bucket_size"),
+        ({"constructor": "linear-net", "dimension": 2, "alpha": 0.3, "n": 4}, "class.n"),
+        ({"means": [[1.0, 0.0]], "constructor": "tree"}, "class.constructor"),
+    ],
+)
+def test_build_function_class_rejects_keys_its_form_does_not_read(spec, key):
+    with pytest.raises(ValueError, match=f"unknown class key {key} "):
+        build_function_class(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +188,26 @@ def test_runtime_recording_opt_in():
     assert any(r.runtime_ms > 0 for r in result.records)
 
 
+def test_trial_record_encodes_in_field_order_under_its_json_keys():
+    rec = TrialRecord(
+        experiment_id="x", seed=1, trial=0, learner="e2d", class_name="toy",
+        alpha=0.2, delta=0.1, queries=5, success=True, output_arm=1,
+        gamma_value=0.5, runtime_ms=0.0,
+    )
+    doc = to_json(rec)
+    assert list(doc) == CSV_COLUMNS  # no error key while the error is empty
+    assert (doc["class"], doc["gamma"]) == ("toy", 0.5)
+    assert records_to_csv([rec]).splitlines()[1] == "x,1,0,e2d,toy,0.2,0.1,5,true,1,0.5,0.0"
+
+
 def test_trial_record_error_field_json_only():
     rec = TrialRecord(
         experiment_id="x", seed=1, trial=0, learner="e2d", class_name="toy",
         alpha=0.2, delta=0.1, queries=5, success=False, output_arm=1,
         gamma_value=0.5, runtime_ms=0.0, error="boom",
     )
-    assert len(rec.csv_row()) == len(CSV_COLUMNS)
-    assert rec.to_json()["error"] == "boom"
+    assert "boom" not in records_to_csv([rec])
+    assert to_json(rec)["error"] == "boom"
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +289,8 @@ def test_adaptivity_budget_grows_with_depth():
 
 
 def test_adaptivity_json_shape():
-    doc = adaptivity_experiment(3, trials=10, seed=0).to_json()
+    doc = to_json(adaptivity_experiment(3, trials=10, seed=0))
+    assert "adaptive_records" not in doc and "non_adaptive_records" not in doc
     assert set(doc) >= {
         "depth",
         "gamma",
@@ -336,6 +364,8 @@ def test_sweep_records_bad_class_spec_fields():
                       grid={"params.alpha": [0.2]})
     errors = [cell["error"] for cell in sweep(cfg).cells]
     assert "class spec 'tree' requires class.bucket_size" in errors[0]
+    cfg = tree_config(trials=2, grid={"class.colour": ["red"]})
+    assert "unknown class key class.colour" in sweep(cfg).cells[0]["error"]
 
 
 def test_monte_carlo_rejects_bad_class_spec_fields():
@@ -359,6 +389,7 @@ def test_monte_carlo_rejects_bad_class_spec_fields():
         ({"seed": "zero"}, "seed must be a number, got 'zero'"),
         ({"record_runtime": "false"}, "record_runtime must be true or false, got 'false'"),
         ({"record_runtime": 0}, "record_runtime must be true or false, got 0"),
+        ({"typo_key": 1}, "unknown experiment key typo_key"),
     ],
 )
 def test_experiment_config_from_json_rejects_bad_fields(field, message):

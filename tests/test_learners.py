@@ -4,7 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from maximin_bandits.core import ArmDistribution, FunctionClass, Model, NoiseSpec, sample_rewards
+from maximin_bandits.core import (
+    ArmDistribution,
+    FunctionClass,
+    Model,
+    NoiseSpec,
+    sample_rewards,
+    to_json,
+)
 from maximin_bandits.environments import make_k_armed, make_singletons, make_tree_class
 from maximin_bandits.estimators import (
     MoMConfig,
@@ -41,28 +48,27 @@ def test_learner_params_validation():
 
 def test_learner_params_json_rejects_non_numbers():
     base = {"alpha": 0.2, "delta": 0.1}
-    for key, bad in [("sigma", "wide"), ("c_m", [4]), ("budget", "ten"), ("budget", 2.5),
-                     ("horizon", "T"), ("reps_per_arm", 1.5), ("alpha", None), ("c_m", "2"),
+    for key, bad in [("sigma", "wide"), ("budget", "ten"), ("budget", 2.5),
+                     ("horizon", "T"), ("reps_per_arm", 1.5), ("alpha", None),
                      ("horizon", True)]:
         with pytest.raises(ValueError, match=f"params.{key} must be"):
             LearnerParams.from_json({**base, key: bad})
-    p = LearnerParams.from_json({**base, "sigma": 1, "c_m": 2, "budget": 3.0})
-    assert (p.sigma, p.c_m, p.budget) == (1.0, 2.0, 3)
-    assert type(p.sigma) is float and type(p.c_m) is float and type(p.budget) is int
+    p = LearnerParams.from_json({**base, "sigma": 1, "budget": 3.0})
+    assert (p.sigma, p.budget) == (1.0, 3)
+    assert type(p.sigma) is float and type(p.budget) is int
 
 
 def test_learner_params_json_aliases():
     # every field round-trips under its one canonical name
-    p = LearnerParams(alpha=0.2, delta=0.1, sigma=1.5, c_m=2.0, horizon=400, budget=7,
-                      reps_per_arm=3)
-    doc = p.to_json()
-    assert set(doc) == {"alpha", "delta", "sigma", "c_m", "horizon", "budget", "reps_per_arm"}
+    p = LearnerParams(alpha=0.2, delta=0.1, sigma=1.5, horizon=400, budget=7, reps_per_arm=3)
+    doc = to_json(p)
+    assert list(doc) == ["alpha", "delta", "sigma", "horizon", "budget", "reps_per_arm"]
     assert LearnerParams.from_json(doc) == p
-    assert LearnerParams.from_json({"alpha": 0.2, "delta": 0.1}).to_json() == {
+    assert to_json(LearnerParams.from_json({"alpha": 0.2, "delta": 0.1})) == {
         "alpha": 0.2, "delta": 0.1}
 
 
-@pytest.mark.parametrize("key", ["cM", "T", "horizn"])
+@pytest.mark.parametrize("key", ["cM", "T", "horizn", "c_m"])
 def test_learner_params_json_rejects_unknown_keys(key):
     with pytest.raises(ValueError, match=f"unknown learner parameter params.{key} "):
         LearnerParams.from_json({"alpha": 0.2, "delta": 0.1, key: 4})
@@ -354,7 +360,7 @@ def test_oracle_concentrates_on_truth():
     model = Model(fclass, 1, NoiseSpec.deterministic())
     for _ in range(60):
         arm = int(rng.integers(3))
-        oracle.update(arm, model.mean(arm))
+        oracle.update(arm, model.true_means[arm])
     assert oracle.weights[1] > 0.97
 
 
