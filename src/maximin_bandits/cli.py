@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .core import check_keys, config_number, to_json
+from .core import check_keys, config_number, config_value, to_json
 from .dec import default_anchor_candidates, dec_at, dec_sup
 from .environments import make_gaussian_histogram, tv_distance, GaussianDensity
 from .games import gamma
@@ -82,7 +82,12 @@ def _cmd_dec(args) -> int:
         anchors = default_anchor_candidates(fclass, include_midpoints=args.anchors != "vertices")
     else:
         doc = _load_json(args.anchors)
-        anchors = doc["anchors"] if isinstance(doc, dict) else doc
+        if isinstance(doc, dict):
+            check_keys(doc, ("anchors",), "anchors key")
+            if "anchors" not in doc:
+                raise ValueError("anchors is required")
+            doc = doc["anchors"]
+        anchors = config_value(doc, list, "anchors")
     if not anchors:
         raise ValueError("need at least one anchor candidate")
     if args.sup:
@@ -101,18 +106,7 @@ def _cmd_run(args) -> int:
     if "format" in doc and not doc.get("out"):
         raise ValueError(f"run writes format {doc['format']!r} only with an out path")
     result = monte_carlo(ExperimentConfig.from_json(doc))
-    _emit(
-        {
-            "experiment_id": result.experiment_id,
-            "trials": len(result.records),
-            "success_rate": result.success_rate,
-            "half_width99": result.half_width99,
-            "mean_queries": result.mean_queries,
-            "gamma": result.gamma_value,
-            "out": doc.get("out"),
-        },
-        None,
-    )
+    _emit({**to_json(result), "trials": len(result.records), "out": doc.get("out")}, None)
     return 0
 
 
@@ -130,8 +124,8 @@ def _merged(args, fields: dict, other_keys=()) -> dict:
     that is neither a field nor one of ``other_keys`` raises ValueError."""
     doc = {name: default for name, (_, default) in fields.items() if default is not None}
     if args.config:
-        loaded = _load_json(args.config)
-        check_keys(loaded, [*fields, *other_keys], f"{args.command} document key")
+        loaded = config_value(_load_json(args.config), dict, f"{args.command} document")
+        check_keys(loaded, dict.fromkeys([*fields, *other_keys]), f"{args.command} document key")
         doc.update(loaded)
     for name, (kind, _) in fields.items():
         value = getattr(args, name)
@@ -147,7 +141,7 @@ _PROBER_KEYS = {"tree-descent": "reps", "fixed-arm": "arm", "witness": "alpha"}
 
 
 def _build_prober(fclass, meta, spec: dict):
-    kind = spec.get("kind", "tree-descent")
+    kind = config_value(spec, dict, "prober").get("kind", "tree-descent")
     if kind not in _PROBER_KEYS:
         raise ValueError(f"unknown prober kind {kind!r}")
     check_keys(spec, ("kind", _PROBER_KEYS[kind]), "prober key", "prober.")

@@ -13,7 +13,10 @@ integer seeds derived via :func:`trial_seed`, so a run is a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -21,8 +24,10 @@ __all__ = [
     "CapacityError",
     "PrecisionError",
     "config_number",
+    "config_value",
     "check_keys",
     "to_json",
+    "from_json",
     "FunctionClass",
     "NoiseSpec",
     "Model",
@@ -100,6 +105,89 @@ def check_keys(doc: dict, known, what: str, prefix: str = "") -> None:
     for key in doc:
         if key not in known:
             raise ValueError(f"unknown {what} {prefix}{key} (known: {', '.join(known)})")
+
+
+#: The JSON kind a non-numeric field must have, as an error names it.
+_KIND_NAMES = {bool: "true or false", str: "a string", dict: "an object", list: "a list"}
+
+
+def config_value(value, kind: type, name: str):
+    """``config_number`` for a number; any other ``value`` must be of the JSON
+    kind ``kind`` (bool, str, dict or list), or ValueError names the field."""
+    if kind is int or kind is float:
+        return config_number(value, kind, name)
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def to_json(obj) -> dict:
+    """The JSON document of a dataclass: one key per field, in field order.
+
+    The key is the field name unless the field's ``metadata["key"]`` renames
+    it, or leaves the field out when it is None.  A field that holds its
+    default is left out; an array or an ``ArmDistribution`` is written as a
+    list, and any other nested dataclass as its own document.
+    """
+    doc = {}
+    for f in fields(obj):
+        key = f.metadata.get("key", f.name)
+        value = getattr(obj, f.name)
+        if isinstance(value, ArmDistribution):
+            value = value.probs
+        elif is_dataclass(value):
+            value = to_json(value)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if key is not None and (f.default is MISSING or value != f.default):
+            doc[key] = value
+    return doc
+
+
+@cache
+def _json_fields(cls) -> tuple:
+    """Cached per class, as it costs more than a decode: the keys ``to_json``
+    writes, and per key (name, key, type, nullable, required)."""
+    hints = typing.get_type_hints(cls)
+    specs = []
+    for f in fields(cls):
+        key, kind = f.metadata.get("key", f.name), hints[f.name]
+        nullable = isinstance(kind, types.UnionType) and type(None) in typing.get_args(kind)
+        if nullable:
+            (kind,) = (arg for arg in typing.get_args(kind) if arg is not type(None))
+        if key is not None:
+            required = f.default is MISSING and f.default_factory is MISSING
+            specs.append((f.name, key, kind, nullable, required))
+    return tuple(spec[1] for spec in specs), tuple(specs)
+
+
+def from_json(cls, doc, prefix: str = ""):
+    """The dataclass ``cls`` read from the document ``to_json`` writes.  A key
+    that names no field, a missing field without a default and a value of the
+    wrong JSON kind raise ValueError naming the path ``prefix + key``."""
+    section = prefix[:-1]
+    config_value(doc, dict, section or f"{cls.__name__} document")
+    keys, specs = _json_fields(cls)
+    check_keys(doc, keys, f"{section} key".lstrip(), prefix)
+    values = {}
+    for name, key, kind, nullable, required in specs:
+        path, value = prefix + key, doc.get(key, MISSING)
+        if value is MISSING:
+            if required:
+                raise ValueError(f"{path} is required")
+        elif value is None and nullable:
+            values[name] = None
+        elif kind in _KIND_NAMES or kind is int or kind is float:
+            values[name] = config_value(value, kind, path)
+        elif kind is np.ndarray or kind is ArmDistribution:
+            try:
+                array = np.asarray(config_value(value, list, path), dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(f"{path} must be a list of numbers, got {value!r}") from None
+            values[name] = array if kind is np.ndarray else ArmDistribution(array)
+        else:  # a nested dataclass
+            values[name] = from_json(kind, value, path + ".")
+    return cls(**values)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -242,15 +330,7 @@ class NoiseSpec:
             return p_hi * (hi - mean) ** 2 + (1.0 - p_hi) * (lo - mean) ** 2
         return float(self.sigma) ** 2
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "NoiseSpec":
-        check_keys(doc, [f.name for f in fields(cls)], "noise key", "noise.")
-        sigma, c = doc.get("sigma"), doc.get("c")
-        return cls(
-            doc["kind"],
-            sigma=None if sigma is None else config_number(sigma, float, "noise.sigma"),
-            c=None if c is None else config_number(c, float, "noise.c"),
-        )
+    from_json = classmethod(partial(from_json, prefix="noise."))
 
 
 def two_point_support(mean: float, c: float) -> tuple[float, float, float]:
@@ -430,23 +510,3 @@ def gap_matrix(fclass: FunctionClass, alpha: float) -> np.ndarray:
     gaps = means.max(axis=1, keepdims=True) - means
     return (gaps <= alpha).astype(np.int8)
 
-
-def to_json(obj) -> dict:
-    """The JSON document of a dataclass: one key per field, in field order.
-
-    The key is the field name unless the field's ``metadata["key"]`` renames
-    it, or leaves the field out when it is None.  A field that holds its
-    default is left out; an array or an ``ArmDistribution`` is written as a
-    list.
-    """
-    doc = {}
-    for f in fields(obj):
-        key = f.metadata.get("key", f.name)
-        value = getattr(obj, f.name)
-        if isinstance(value, ArmDistribution):
-            value = value.probs
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        if key is not None and (f.default is MISSING or value != f.default):
-            doc[key] = value
-    return doc

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import CapacityError, FunctionClass, PrecisionError, _frozen_array
+from .core import CapacityError, FunctionClass, PrecisionError, _frozen_array, from_json
 
 __all__ = [
     "TreeMeta",
@@ -274,12 +274,7 @@ class PiecewiseUniform:
         # Compact support: the breakpoint range covers all mass regardless of tail.
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "PiecewiseUniform":
-        return cls(
-            np.asarray(doc["breakpoints"], dtype=float),
-            np.asarray(doc["masses"], dtype=float),
-        )
+    from_json = classmethod(from_json)
 
 
 @dataclass(frozen=True)

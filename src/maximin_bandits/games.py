@@ -22,7 +22,7 @@ from math import inf
 
 import numpy as np
 
-from .core import ArmDistribution, FunctionClass, gap_matrix
+from .core import ArmDistribution, FunctionClass, from_json, gap_matrix
 
 __all__ = [
     "MaximinSolution",
@@ -153,16 +153,7 @@ class GammaCertificate:
     alpha: float
     tolerance: float
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "GammaCertificate":
-        return cls(
-            value=float(doc["value"]),
-            p_star=ArmDistribution(np.asarray(doc["p_star"], dtype=float)),
-            worst_function=int(doc["worst_function"]),
-            dual_weights=np.asarray(doc["dual_weights"], dtype=float),
-            alpha=float(doc["alpha"]),
-            tolerance=float(doc["tolerance"]),
-        )
+    from_json = classmethod(from_json)
 
 
 def gamma(fclass: FunctionClass, alpha: float) -> GammaCertificate:

@@ -28,6 +28,8 @@ from .core import (
     Transcript,
     check_keys,
     config_number,
+    config_value,
+    from_json,
     gap_matrix,
     to_json,
     trial_seed,
@@ -141,8 +143,10 @@ def build_function_class(spec: dict) -> tuple[FunctionClass, TreeMeta | None]:
 
     Either an inline matrix ({"means": [[...]], ...}) or a named constructor:
     {"constructor": "k-armed" | "singletons" | "tree" | "linear-net", ...}.
-    A key the spec's form does not read is a ValueError.
+    A spec that is not an object, or has a key its form does not read, is a
+    ValueError.
     """
+    config_value(spec, dict, "class")
     if "means" in spec:
         check_keys(spec, ("means", "arms", "functions", "labels"), "class key", "class.")
         return FunctionClass.from_json(spec), None
@@ -162,11 +166,6 @@ def build_function_class(spec: dict) -> tuple[FunctionClass, TreeMeta | None]:
     return make(*args), None
 
 
-#: The keys of an experiment document, as ``ExperimentConfig.from_json`` reads them.
-EXPERIMENT_KEYS = ("class", "noise", "learner", "params", "trials", "seed", "true_function",
-                   "experiment_id", "out", "format", "record_runtime", "grid")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A Monte Carlo experiment: class, noise, learner, trial count, seed.
@@ -176,15 +175,15 @@ class ExperimentConfig:
     opts into wall-clock timings at the cost of byte-reproducible outputs.
     """
 
-    class_spec: dict
+    class_spec: dict = field(metadata={"key": "class"})
     noise: NoiseSpec
     learner: str
     params: LearnerParams
-    trials: int
-    seed: int
+    trials: int = 100
+    seed: int = 0
     true_function: int | None = None
     experiment_id: str | None = None
-    out_path: str | None = None
+    out_path: str | None = field(default=None, metadata={"key": "out"})
     format: str = "csv"
     record_runtime: bool = False
     grid: dict | None = None
@@ -202,27 +201,11 @@ class ExperimentConfig:
             return self.experiment_id
         return f"{self.learner}-{fclass.family}"
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ExperimentConfig":
-        check_keys(doc, EXPERIMENT_KEYS, "experiment key")
-        true_f = doc.get("true_function")
-        record_runtime = doc.get("record_runtime", False)
-        if not isinstance(record_runtime, bool):
-            raise ValueError(f"record_runtime must be true or false, got {record_runtime!r}")
-        return cls(
-            class_spec=doc["class"],
-            noise=NoiseSpec.from_json(doc["noise"]),
-            learner=doc["learner"],
-            params=LearnerParams.from_json(doc["params"]),
-            trials=config_number(doc.get("trials", 100), int, "trials"),
-            seed=config_number(doc.get("seed", 0), int, "seed"),
-            true_function=None if true_f is None else config_number(true_f, int, "true_function"),
-            experiment_id=doc.get("experiment_id"),
-            out_path=doc.get("out"),
-            format=doc.get("format", "csv"),
-            record_runtime=record_runtime,
-            grid=doc.get("grid"),
-        )
+    from_json = classmethod(from_json)
+
+
+#: The keys of an experiment document, as ``to_json`` writes them.
+EXPERIMENT_KEYS = tuple(f.metadata.get("key", f.name) for f in fields(ExperimentConfig))
 
 
 def _dispatch_empirical_mean(ctx, model, seed):
@@ -275,11 +258,11 @@ class _RunContext:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
-    records: list
+    records: list = field(metadata={"key": None})
     success_rate: float
     mean_queries: float
     half_width99: float
-    gamma_value: float
+    gamma_value: float = field(metadata={"key": "gamma"})
     experiment_id: str
 
 
@@ -591,12 +574,13 @@ class SweepResult:
     columns: list
 
 
-def _apply_override(doc: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = doc
-    for part in parts[:-1]:
+def _apply_override(node: dict, dotted: str, value) -> None:
+    *parents, last = dotted.split(".")
+    for part in parents:
         node = node.setdefault(part, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ValueError(f"grid.{dotted} goes through {part}, which is not an object")
+    node[last] = value
 
 
 def sweep(config: ExperimentConfig) -> SweepResult:
@@ -607,8 +591,9 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     Monte Carlo on a seed derived from (master seed, cell index) under its
     own experiment ID, so the grid may not set ``seed`` or
     ``experiment_id``; a failing cell records its error and the sweep
-    continues.  The cell table is written as CSV to ``config.out_path``
-    when it is set.
+    continues.  A grid value that is not a list, or a path through a value
+    that is not an object, raises ValueError before any cell runs.  The cell
+    table is written as CSV to ``config.out_path`` when it is set.
     """
     if not config.grid:
         raise ValueError("sweep requires a parameter grid")
@@ -618,37 +603,25 @@ def sweep(config: ExperimentConfig) -> SweepResult:
         if key in config.grid:
             raise ValueError(f"sweep grid cannot set {key}: each cell sets its own")
     keys = sorted(config.grid)
-    base = {
-        "class": dict(config.class_spec),
-        "noise": to_json(config.noise),
-        "learner": config.learner,
-        "params": to_json(config.params),
-        "trials": config.trials,
-        "true_function": config.true_function,
-        "record_runtime": config.record_runtime,
-    }
+    # each cell is the base experiment without its grid and its out path
+    base = json.dumps(to_json(replace(config, grid=None, out_path=None)))
+    for key in keys:  # a bad grid fails here, before any cell runs
+        config_value(config.grid[key], list, f"grid.{key}")
+        _apply_override(json.loads(base), key, None)
     columns = ["experiment_id", *keys, "trials", "success_rate", "mean_queries",
                "half_width99", "gamma", "error"]
     cells = []
     for idx, values in enumerate(itertools.product(*(config.grid[k] for k in keys))):
-        doc = json.loads(json.dumps(base))  # deep copy of the plain-JSON config
-        for key, value in zip(keys, values):
-            _apply_override(doc, key, value)
+        doc = json.loads(base)
         doc["seed"] = trial_seed(config.seed, idx)
         doc["experiment_id"] = f"{config.experiment_id or 'sweep'}-cell{idx}"
         cell = {col: "" for col in columns}
         cell.update({"experiment_id": doc["experiment_id"], "trials": config.trials})
         cell.update(dict(zip(keys, values)))
         try:
-            result = monte_carlo(ExperimentConfig.from_json(doc))
-            cell.update(
-                {
-                    "success_rate": result.success_rate,
-                    "mean_queries": result.mean_queries,
-                    "half_width99": result.half_width99,
-                    "gamma": result.gamma_value,
-                }
-            )
+            for key, value in zip(keys, values):
+                _apply_override(doc, key, value)
+            cell.update(to_json(monte_carlo(ExperimentConfig.from_json(doc))))
         except (ValueError, RuntimeError) as exc:
             cell["error"] = str(exc)
         cells.append(cell)

@@ -26,7 +26,8 @@ parameters only, never on observed rewards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +37,7 @@ from .core import (
     FunctionClass,
     Model,
     Transcript,
-    check_keys,
-    config_number,
+    from_json,
     gap_matrix,
     sample_rewards,
 )
@@ -110,23 +110,7 @@ class LearnerParams:
         if self.reps_per_arm < 1:
             raise ValueError("reps_per_arm must be >= 1")
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "LearnerParams":
-        """Read the fields ``core.to_json`` writes; any other key is an error."""
-        check_keys(doc, [f.name for f in fields(cls)], "learner parameter", "params.")
-
-        def optional(key, kind):
-            value = doc.get(key)
-            return None if value is None else config_number(value, kind, f"params.{key}")
-
-        return cls(
-            alpha=config_number(doc.get("alpha"), float, "params.alpha"),
-            delta=config_number(doc.get("delta"), float, "params.delta"),
-            sigma=optional("sigma", float),
-            horizon=optional("horizon", int),
-            budget=optional("budget", int),
-            reps_per_arm=config_number(doc.get("reps_per_arm", 1), int, "params.reps_per_arm"),
-        )
+    from_json = classmethod(partial(from_json, prefix="params."))
 
 
 def _check_model(fclass: FunctionClass, model: Model) -> None:

@@ -244,11 +244,11 @@ SWEEP_DOC = {
          "certify takes depth (a bucket-1 tree) or class, not both"),
         ("sweep", {**SWEEP_DOC, "format": "json"}, "sweep writes csv only, got format 'json'"),
         ("sweep", {**SWEEP_DOC, "params": {**SWEEP_DOC["params"], "cM": 2.0}},
-         "unknown learner parameter params.cM"),
+         "unknown params key params.cM"),
         ("sweep", {**SWEEP_DOC, "params": {**SWEEP_DOC["params"], "T": 400}},
-         "unknown learner parameter params.T"),
+         "unknown params key params.T"),
         ("sweep", {**SWEEP_DOC, "params": {**SWEEP_DOC["params"], "alpah": 0.3}},
-         "unknown learner parameter params.alpah"),
+         "unknown params key params.alpah"),
         # document keys that no reader takes
         ("certify", {"bucket_size": 4, "trials": 20}, "unknown certify document key bucket_size"),
         ("adaptivity", {"depth": 2, "trial": 5}, "unknown adaptivity document key trial"),
@@ -263,6 +263,35 @@ SWEEP_DOC = {
          "unknown noise key noise.sigmaa"),
         ("certify", {"prober": {"kind": "tree-descent", "repz": 3}},
          "unknown prober key prober.repz"),
+        # documents and specs of the wrong JSON kind
+        ("run", {**RUN_DOC, "class": 5}, "class must be an object, got 5"),
+        ("certify", {"class": 5}, "class must be an object, got 5"),
+        ("certify", {"prober": "witness"}, "prober must be an object, got 'witness'"),
+        ("run", [RUN_DOC], "run document must be an object, got [{"),
+        ("adaptivity", 5, "adaptivity document must be an object, got 5"),
+        ("run", {**RUN_DOC, "noise": "bernoulli"}, "noise must be an object, got 'bernoulli'"),
+        ("run", {**RUN_DOC, "params": [0.2]}, "params must be an object, got [0.2]"),
+        ("run", {**RUN_DOC, "learner": ["e2d"]}, "learner must be a string, got ['e2d']"),
+        # the known keys are listed once each
+        ("run", {**RUN_DOC, "typo_key": 1},
+         "typo_key (known: seed, trials, out, format, class, noise, learner, params, "
+         "true_function, experiment_id, record_runtime)"),
+        ("sweep", {**SWEEP_DOC, "typo_key": 1},
+         "typo_key (known: seed, out, class, noise, learner, params, trials, true_function, "
+         "experiment_id, format, record_runtime, grid)"),
+        # missing fields
+        ("run", {k: v for k, v in RUN_DOC.items() if k != "learner"}, "learner is required"),
+        ("run", {k: v for k, v in RUN_DOC.items() if k != "class"}, "class is required"),
+        ("run", {k: v for k, v in RUN_DOC.items() if k != "noise"}, "noise is required"),
+        ("run", {**RUN_DOC, "noise": {"sigma": 0.3}}, "noise.kind is required"),
+        ("sweep", {**SWEEP_DOC, "params": {"delta": 0.1}}, "params.alpha is required"),
+        # sweep grids, checked before any cell runs
+        ("sweep", {**SWEEP_DOC, "grid": {"params.alpha": 0.2}},
+         "grid.params.alpha must be a list, got 0.2"),
+        ("sweep", {**SWEEP_DOC, "grid": {"params.budget": [1], "learner.x": [1]}},
+         "grid.learner.x goes through learner, which is not an object"),
+        ("sweep", {**SWEEP_DOC, "grid": {"params.alpha.x": [1]}},
+         "grid.params.alpha.x goes through alpha, which is not an object"),
     ],
 )
 def test_config_documents_name_bad_fields(tmp_path, command, doc, message):
@@ -359,6 +388,22 @@ def test_dec_rejects_an_empty_anchor_list(tmp_path, k3_class, sup):
         with pytest.raises(ValueError, match="need at least one anchor candidate"):
             main(["dec", "--config", k3_class, "--eps", "0.5", "--alpha", "0.5",
                   "--anchors", anchors, *sup])
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"anchor": [[1, 0, 0]]}, "unknown anchors key anchor (known: anchors)"),
+        ({}, "anchors is required"),
+        ({"anchors": {"0": [1, 0, 0]}}, "anchors must be a list, got {"),
+        ("vertices", "anchors must be a list, got 'vertices'"),
+    ],
+)
+def test_dec_anchors_file_names_bad_fields(tmp_path, k3_class, doc, message):
+    anchors = write_json(tmp_path / "anchors.json", doc)
+    with pytest.raises(ValueError) as info:
+        main(["dec", "--config", k3_class, "--eps", "0.5", "--alpha", "0.5", "--anchors", anchors])
+    assert message in str(info.value)
 
 
 def test_document_commands_take_flags_only_from_their_field_tables():

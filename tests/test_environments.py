@@ -174,6 +174,7 @@ def test_piecewise_uniform_json_round_trip():
     back = PiecewiseUniform.from_json(to_json(pw))
     np.testing.assert_allclose(back.breakpoints, pw.breakpoints)
     np.testing.assert_allclose(back.masses, pw.masses)
+    assert to_json(back) == to_json(pw)
 
 
 def test_gaussian_lipschitz_bound_value():

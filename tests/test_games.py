@@ -141,6 +141,7 @@ def test_gamma_certificate_json_round_trip():
     assert back.value == pytest.approx(cert.value, abs=1e-12)
     np.testing.assert_allclose(back.p_star.probs, cert.p_star.probs)
     assert back.alpha == cert.alpha
+    assert to_json(back) == to_json(cert)
 
 
 def test_gamma_rejects_alpha_out_of_range():

@@ -264,6 +264,26 @@ GOLDEN_COMMANDS = {
         },
         "b2ad13ef03d2ea974f1a4dfee9ac6990dd554d206d3af84ce26da97d1f342154",
     ),
+    # The two below were recorded before the run summary and the sweep's cell
+    # documents came from ``to_json`` and were read back by ``from_json``.
+    "run-summary": (
+        ["run"],
+        {
+            "class": INLINE, "noise": {"kind": "bernoulli"}, "learner": "empirical-mean",
+            "params": {"alpha": 0.2, "delta": 0.1}, "trials": 5, "seed": 8,
+        },
+        "65dd5d6fc20733b342d54dbe66d8979521adbdc19836a083fa3919b4e7fe0fc5",
+    ),
+    # a fixed true function, and the default 100 trials per cell
+    "sweep-true-function-default-trials": (
+        ["sweep", "--seed", "21"],
+        {
+            "class": TREE_D2, "noise": {"kind": "bernoulli"}, "learner": "tree-descent",
+            "params": {"alpha": 0.2, "delta": 0.1}, "true_function": 2,
+            "grid": {"params.delta": [0.1, 0.3], "params.reps_per_arm": [1, 2]},
+        },
+        "22ee7ac6873d117377476c9bf92bd57584ee404d9133b5b0d42aca9963fe3ee8",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from maximin_bandits.environments import make_tree_class
 from maximin_bandits.harness import (
     CSV_COLUMNS,
     CERTIFY_BUDGET_CAP,
+    EXPERIMENT_KEYS,
     ExperimentConfig,
     TrialRecord,
     adaptivity_experiment,
@@ -153,6 +155,14 @@ def test_experiment_config_json_round_trip():
     assert cfg.trials == 7
     assert cfg.params.sigma == 1.0
     assert cfg.resolved_id(build_function_class(cfg.class_spec)[0]) == "mom-k3"
+    assert to_json(cfg) == doc
+    assert ExperimentConfig.from_json(to_json(cfg)) == cfg
+    full = replace(cfg, true_function=1, out_path="out.json", format="json",
+                   record_runtime=True, grid={"params.alpha": [0.2]})
+    assert list(to_json(full)) == list(EXPERIMENT_KEYS) == [
+        "class", "noise", "learner", "params", "trials", "seed", "true_function",
+        "experiment_id", "out", "format", "record_runtime", "grid"]
+    assert ExperimentConfig.from_json(to_json(full)) == full
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +399,7 @@ def test_monte_carlo_rejects_bad_class_spec_fields():
         ({"seed": "zero"}, "seed must be a number, got 'zero'"),
         ({"record_runtime": "false"}, "record_runtime must be true or false, got 'false'"),
         ({"record_runtime": 0}, "record_runtime must be true or false, got 0"),
-        ({"typo_key": 1}, "unknown experiment key typo_key"),
+        ({"typo_key": 1}, "unknown key typo_key"),
     ],
 )
 def test_experiment_config_from_json_rejects_bad_fields(field, message):

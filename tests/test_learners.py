@@ -70,7 +70,7 @@ def test_learner_params_json_aliases():
 
 @pytest.mark.parametrize("key", ["cM", "T", "horizn", "c_m"])
 def test_learner_params_json_rejects_unknown_keys(key):
-    with pytest.raises(ValueError, match=f"unknown learner parameter params.{key} "):
+    with pytest.raises(ValueError, match=f"unknown params key params.{key} "):
         LearnerParams.from_json({"alpha": 0.2, "delta": 0.1, key: 4})
 
 
