@@ -244,7 +244,14 @@ class FunctionClass:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionClass":
-        fc = cls(np.asarray(doc["means"], dtype=float), labels=doc.get("labels"))
+        labels = doc.get("labels")
+        if labels is not None:
+            config_value(labels, dict, "class.labels")
+        try:
+            means = np.asarray(doc["means"], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"class.means must be a matrix of numbers, got {doc['means']!r}") from None
+        fc = cls(means, labels=labels)
         for key, count in (("arms", fc.n_arms), ("functions", fc.n_functions)):
             if key in doc and config_number(doc[key], int, f"class.{key}") != count:
                 raise ValueError(f"declared class.{key} disagrees with the means matrix")

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (
     Model,
     NoiseSpec,
     Transcript,
+    _json_fields,
     check_keys,
     config_number,
     config_value,
@@ -583,6 +584,23 @@ def _apply_override(node: dict, dotted: str, value) -> None:
     node[last] = value
 
 
+def _check_grid_path(dotted: str) -> None:
+    """Raise ValueError unless each step of ``dotted`` names a field of the
+    experiment dataclasses, set or left at its default, and each step before
+    the last is an object.  Keys inside a free-form object (``class``, whose
+    keys depend on its form) are left to the cells."""
+    kind, parent, prefix = ExperimentConfig, None, "grid."
+    for part in dotted.split("."):
+        if kind is dict:
+            return
+        if not is_dataclass(kind):
+            raise ValueError(f"grid.{dotted} goes through {parent}, which is not an object")
+        keys, specs = _json_fields(kind)
+        check_keys({part: None}, keys, "grid key", prefix)
+        kind = specs[keys.index(part)][2]
+        parent, prefix = part, f"{prefix}{part}."
+
+
 def sweep(config: ExperimentConfig) -> SweepResult:
     """Cartesian parameter sweep of Monte Carlo cells.
 
@@ -591,9 +609,10 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     Monte Carlo on a seed derived from (master seed, cell index) under its
     own experiment ID, so the grid may not set ``seed`` or
     ``experiment_id``; a failing cell records its error and the sweep
-    continues.  A grid value that is not a list, or a path through a value
-    that is not an object, raises ValueError before any cell runs.  The cell
-    table is written as CSV to ``config.out_path`` when it is set.
+    continues.  A grid value that is not a list, a path step that names no
+    field, or a path through a value that is not an object, raises
+    ValueError before any cell runs.  The cell table is written as CSV to
+    ``config.out_path`` when it is set.
     """
     if not config.grid:
         raise ValueError("sweep requires a parameter grid")
@@ -607,6 +626,7 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     base = json.dumps(to_json(replace(config, grid=None, out_path=None)))
     for key in keys:  # a bad grid fails here, before any cell runs
         config_value(config.grid[key], list, f"grid.{key}")
+        _check_grid_path(key)
         _apply_override(json.loads(base), key, None)
     columns = ["experiment_id", *keys, "trials", "success_rate", "mean_queries",
                "half_width99", "gamma", "error"]

@@ -62,6 +62,7 @@ __all__ = [
     "run_non_adaptive_uniform",
     "run_e2d",
     "OnlineRegressionOracle",
+    "oracle_weights",
     "est_bound",
 ]
 
@@ -341,12 +342,44 @@ def run_non_adaptive_uniform(
     )
 
 
+#: Rows per block of the batched oracle pass, so its memory is
+#: O(ORACLE_BLOCK x (functions + arms)) whatever the horizon.
+ORACLE_BLOCK = 1024
+
+
+def _exp_weights(cum_loss: np.ndarray) -> np.ndarray:
+    """Exponential weights of cumulative losses along the last axis: the one
+    formula behind both the oracle's ``weights`` and :func:`oracle_weights`."""
+    shifted = cum_loss - cum_loss.min(axis=-1, keepdims=True)
+    w = np.exp(-ORACLE_LEARNING_RATE * shifted)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _row_products(rows: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``rows[i] @ right`` for each row i, bit for bit as one product per row.
+
+    The stacked matmul runs one vector product per row; a plain 2-D matmul
+    (gemm) may sum in another order and move the last bit of some entries.
+    ``right`` is a matrix, or one vector per row as a (rows, n, 1) stack.
+    """
+    return (rows[:, None, :] @ right)[:, 0]
+
+
+def _running_sum(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``carry`` plus each row of ``rows`` in turn: the sequential ``+=``."""
+    return np.cumsum(np.concatenate([carry[None], rows]), axis=0)[-1]
+
+
 class OnlineRegressionOracle:
     """Exponential-weights online regression over a finite class.
 
     Squared loss, learning rate 1/2.  The prediction after any history is the
     weight mixture of the class rows, i.e. an element of the convex hull.  A
     function consistent with every observation never loses relative weight.
+
+    This is the step-by-step form, for a learner that needs the weights
+    before the next arm is drawn.  :func:`oracle_weights` gives the same
+    weights bit for bit for a whole history at once.
     """
 
     def __init__(self, fclass: FunctionClass):
@@ -361,13 +394,29 @@ class OnlineRegressionOracle:
 
     @property
     def weights(self) -> np.ndarray:
-        shifted = self._cum_loss - self._cum_loss.min()
-        w = np.exp(-ORACLE_LEARNING_RATE * shifted)
-        return w / w.sum()
+        return _exp_weights(self._cum_loss)
 
     def predict(self) -> np.ndarray:
         """Mean-reward prediction per arm: the weight mixture of class rows."""
         return self.weights @ self._means
+
+
+def oracle_weights(means: np.ndarray, arms: np.ndarray, rewards: np.ndarray):
+    """Yield the oracle's weights before each query of a history, in blocks.
+
+    Block by block of at most ``ORACLE_BLOCK`` queries, yields the (block,
+    functions) matrix whose row i is :class:`OnlineRegressionOracle`'s
+    ``weights`` just before query i of the block, bit for bit: the losses are
+    summed by one ``np.cumsum`` over rows that start with the loss carried
+    from the previous block, which adds in the order of the oracle's ``+=``.
+    """
+    carry = np.zeros((1, means.shape[0]))
+    for start in range(0, len(arms), ORACLE_BLOCK):
+        stop = start + ORACLE_BLOCK
+        diff = means[:, arms[start:stop]].T - rewards[start:stop, None]
+        cum_loss = np.cumsum(np.concatenate([carry, diff * diff]), axis=0)
+        yield _exp_weights(cum_loss[:-1])
+        carry = cum_loss[-1:]
 
 
 def est_bound(n_functions: int, delta: float) -> float:
@@ -394,7 +443,9 @@ def run_e2d(
     1. Exploration (J rounds): the oracle's current mixture anchors a
        radius-eps_bar version set; the candidate search picks (p_t, q_t)
        minimizing the worst in-set probability of exceeding the alpha/2 gap;
-       one arm is drawn from q_t and fed back to the oracle.
+       one arm is drawn from q_t and fed back to the oracle.  The oracle is
+       stepped only where the search needs its weights (eps_bar < 1); with
+       eps_bar >= 1 one search serves every round.
     2. Exploitation (L branches of J fresh draws each): L exploration rounds
        are sampled uniformly; each branch replays its q with a fresh oracle
        and averages the predictions; the branch whose average best matches
@@ -406,6 +457,15 @@ def run_e2d(
     A non-positive effective gamma aborts the final phase and records the
     ``dec-too-large`` error tag in the transcript instead of failing silently.
     No positive-coverage precondition is required up front.
+
+    The draws alternate arm and reward on one generator, so exploration draws
+    one round at a time.  The oracle's weights depend only on arms and
+    rewards already drawn, so every mixture the learner reads (each
+    exploration round's, for the estimation error and the picked anchors,
+    and each branch's J predictions) comes from one batched
+    :func:`oracle_weights` pass per phase.  Its products are stacked
+    matmuls, one vector product per row, which keep the bits of the
+    step-by-step oracle; a plain 2-D matmul would not.
     """
     _check_model(fclass, model)
     if params.horizon is None:
@@ -430,58 +490,62 @@ def run_e2d(
                    eps_bar, half_alpha, E2D_SEARCH_RESOLUTION) if eps_bar >= 1.0 else None
 
     oracle = OnlineRegressionOracle(fclass)
-    p_hist: list[np.ndarray] = []
-    q_hist: list[ArmDistribution] = []
-    fhat_hist: list[np.ndarray] = []
-    weight_hist: list[np.ndarray] = []
-    est_error = 0.0
+    searches = []
     explore_arms = np.empty(J, dtype=np.int64)
     explore_rewards = np.empty(J)
     for t in range(J):
-        w = oracle.weights
-        fhat = w @ fclass.means
-        if fixed is not None:
-            p_t, q_t = fixed.p_witness.probs, fixed.q_witness
+        if fixed is None:
+            res = dec_at(fclass, oracle.weights, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
         else:
-            res = dec_at(fclass, w, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
-            p_t, q_t = res.p_witness.probs, res.q_witness
-        p_hist.append(p_t)
-        q_hist.append(q_t)
-        fhat_hist.append(fhat)
-        weight_hist.append(w)
-        est_error += float(q_t.probs @ (true_means - fhat) ** 2)
-
-        arm = q_t.sample(rng)
+            res = fixed
+        searches.append(res)
+        arm = res.q_witness.sample(rng)
         reward = float(sample_rewards(model, arm, 1, rng)[0])
         explore_arms[t] = arm
         explore_rewards[t] = reward
-        oracle.update(arm, reward)
+        if fixed is None:
+            oracle.update(arm, reward)
     arms_chunks.append(explore_arms)
     rewards_chunks.append(explore_rewards)
-
     picked_rounds = rng.integers(0, J, size=L)
+
+    # The oracle's mixture and weights at the picked rounds, and the
+    # q-weighted squared error of its mixture summed over every round.
+    fhat_at: dict[int, np.ndarray] = {}
+    weights_at: dict[int, np.ndarray] = {}
+    est_error = np.zeros(())
+    start = 0
+    for w in oracle_weights(fclass.means, explore_arms, explore_rewards):
+        stop = start + len(w)
+        fhat = _row_products(w, fclass.means)
+        q = np.stack([search.q_witness.probs for search in searches[start:stop]])
+        sq_error = (true_means - fhat) ** 2
+        est_error = _running_sum(est_error, _row_products(sq_error, q[:, :, None])[:, 0])
+        for t in picked_rounds.tolist():
+            if start <= t < stop:
+                fhat_at[t], weights_at[t] = fhat[t - start].copy(), w[t - start].copy()
+        start = stop
+
     scores = np.empty(L)
     for branch in range(L):
         t = int(picked_rounds[branch])
-        q = q_hist[t]
-        fresh = OnlineRegressionOracle(fclass)
-        tilde_sum = np.zeros(fclass.n_arms)
+        q = searches[t].q_witness
         # the branch's arms are committed before its first reward
         branch_arms = q.sample(rng, J)
         branch_rewards = sample_rewards(model, branch_arms, 1, rng)
-        for arm, reward in zip(branch_arms.tolist(), branch_rewards.tolist()):
-            tilde_sum += fresh.predict()
-            fresh.update(arm, reward)
+        tilde_sum = np.zeros(fclass.n_arms)
+        for w in oracle_weights(fclass.means, branch_arms, branch_rewards):
+            tilde_sum = _running_sum(tilde_sum, _row_products(w, fclass.means))
         tilde = tilde_sum / J
-        scores[branch] = float(q.probs @ (fhat_hist[t] - tilde) ** 2)
+        scores[branch] = float(q.probs @ (fhat_at[t] - tilde) ** 2)
         arms_chunks.append(branch_arms)
         rewards_chunks.append(branch_rewards)
 
     best_branch = int(np.argmin(scores))
     chosen = int(picked_rounds[best_branch])
-    p_hat = p_hist[chosen]
-    q_hat = q_hist[chosen]
-    versions = version_set(fclass, weight_hist[chosen], q_hat, eps_bar)
+    p_hat = searches[chosen].p_witness.probs
+    q_hat = searches[chosen].q_witness
+    versions = version_set(fclass, weights_at[chosen], q_hat, eps_bar)
     if versions.is_empty:
         eff_gamma = 1.0
     else:
@@ -491,7 +555,7 @@ def run_e2d(
         "L": L,
         "J": J,
         "eps_bar": eps_bar,
-        "est_error": est_error,
+        "est_error": float(est_error),
         "est_bound": bound,
         "selection_scores": scores.tolist(),
         "chosen_round": chosen,
@@ -505,7 +569,7 @@ def run_e2d(
             seed=seed,
             arms=np.concatenate(arms_chunks),
             rewards=np.concatenate(rewards_chunks),
-            output_arm=int(np.argmax(fhat_hist[chosen])),
+            output_arm=int(np.argmax(fhat_at[chosen])),
             meta=meta,
         )
 

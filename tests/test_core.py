@@ -101,6 +101,20 @@ def test_function_class_from_json_count_mismatch():
         FunctionClass.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"labels": 5}, "class.labels must be an object, got 5"),
+        ({"means": [[1, "high"], [0, 1]]}, "class.means must be a matrix of numbers"),
+        ({"means": [[1, 0], [0]]}, "class.means must be a matrix of numbers"),
+        ({"means": [[1, {}], [0, 1]]}, "class.means must be a matrix of numbers"),
+    ],
+)
+def test_function_class_from_json_names_a_bad_field(change, message):
+    with pytest.raises(ValueError, match=message):
+        FunctionClass.from_json({"means": [[1, 0], [0, 1]], **change})
+
+
 # ---------------------------------------------------------------------------
 # NoiseSpec and two-point support
 

@@ -13,7 +13,7 @@ import pytest
 
 from maximin_bandits.cli import main
 from maximin_bandits.core import FunctionClass, Model, NoiseSpec
-from maximin_bandits.environments import make_tree_class
+from maximin_bandits.environments import make_k_armed, make_tree_class
 from maximin_bandits.harness import adaptivity_experiment, records_to_csv
 from maximin_bandits.learners import (
     LearnerParams,
@@ -175,6 +175,46 @@ def transcript_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRANSCRIPTS))
 def test_transcript_matches_pinned_digest(name):
     assert transcript_digest(name) == GOLDEN_TRANSCRIPTS[name]
+
+
+# Neither the records nor the transcripts above cover e2d's meta, whose
+# floats come from the regression oracle: a matvec that moves one ulp there
+# leaves every arm and reward unchanged.  Recorded from the per-query oracle.
+
+E2D_META_KEYS = ("selection_scores", "est_error", "effective_gamma", "chosen_round")
+
+
+def e2d_meta_run(name: str):
+    if name == "eps-bar-below-one":
+        # delta 0.9 and T = 12000 put eps_bar near 0.94: a search every round
+        fclass = make_k_armed(2)
+        params = LearnerParams(alpha=0.2, delta=0.9, horizon=12000)
+        return run_e2d(fclass, params, Model(fclass, 0, NoiseSpec.bernoulli()), seed=7)
+    if name == "tree-d3-bernoulli":
+        fclass, _ = make_tree_class(3, 1)
+        params = LearnerParams(alpha=0.2, delta=0.2, horizon=400)
+        return run_e2d(fclass, params, Model(fclass, 5, NoiseSpec.bernoulli()), seed=26)
+    return run_transcript(name)
+
+
+#: run -> sha256 of ``json.dumps`` of the meta values named above
+GOLDEN_E2D_META = {
+    "e2d:bernoulli":
+        "745c63b467620c4cca6d3141bffda5bae2c3141dc231b42df80dba3469e024e1",
+    "e2d:two-point":
+        "a03dbbb76fd8c293f9be8591861224f01b9c52fad071885a0a47818e1769ab30",
+    "tree-d3-bernoulli":
+        "b71245a578e06937f5b837b4a6748819c94581a154dbf23f55ce3394524b83a1",
+    "eps-bar-below-one":
+        "dffb91e58eb80f473548969a687b93f291f5c4f1672514df4470abde8f66baf3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_E2D_META))
+def test_e2d_meta_matches_pinned_digest(name):
+    meta = e2d_meta_run(name).meta
+    payload = json.dumps({key: meta[key] for key in E2D_META_KEYS}).encode()
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN_E2D_META[name]
 
 
 # The adaptivity experiment: sha256 of the ``adaptivity`` command's stdout

@@ -450,6 +450,29 @@ def test_sweep_rejects_per_cell_keys_in_grid(tmp_path, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        # true_function and trials hold their defaults, so the base
+        # document leaves them out
+        ("true_function.x", "grid.true_function.x goes through true_function, which is not"),
+        ("trials.x", "grid.trials.x goes through trials, which is not an object"),
+        ("params.alhpa", "unknown grid key grid.params.alhpa"),
+        ("nosie.kind", "unknown grid key grid.nosie"),
+    ],
+)
+def test_sweep_checks_grid_paths_against_the_fields(monkeypatch, path, message):
+    from maximin_bandits import harness
+
+    def no_cell(config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "monte_carlo", no_cell)
+    cfg = replace(tree_config(grid={"params.alpha": [0.2], path: [1]}), trials=100)
+    with pytest.raises(ValueError, match=message):
+        sweep(cfg)
+
+
 def test_tree_descent_prober_queries_each_stage_reps_times():
     fclass, meta = make_tree_class(2, 3)
     prober = tree_descent_prober(meta, reps_per_stage=3)

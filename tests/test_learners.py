@@ -21,10 +21,14 @@ from maximin_bandits.estimators import (
     row_medians_of_means,
 )
 from maximin_bandits.learners import (
+    ORACLE_BLOCK,
     LearnerParams,
     OnlineRegressionOracle,
+    _row_products,
+    _running_sum,
     UnlearnableInstanceError,
     est_bound,
+    oracle_weights,
     run_e2d,
     run_empirical_mean_learner,
     run_median_of_means_learner,
@@ -362,6 +366,50 @@ def test_oracle_concentrates_on_truth():
         arm = int(rng.integers(3))
         oracle.update(arm, model.true_means[arm])
     assert oracle.weights[1] > 0.97
+
+
+@pytest.mark.parametrize("name", ["tree-d2", "tree-d4", "tree-d6", "random-0/1"])
+def test_batched_oracle_pass_matches_the_step_by_step_oracle(name):
+    # e2d's bytes rest on this: the batched weights, their stacked-matmul
+    # mixtures, the running sum of those and the per-row q-weighted errors
+    # equal the step-by-step oracle's bit for bit, across block boundaries.
+    # A numpy or BLAS change that sums a product in another order fails here.
+    rng = np.random.default_rng(5)
+    if name == "random-0/1":
+        fclass = FunctionClass(rng.integers(0, 2, size=(12, 9)))
+    else:
+        fclass, _ = make_tree_class(int(name[-1]), 1)
+    J = 2 * ORACLE_BLOCK + 37
+    arms = rng.integers(0, fclass.n_arms, size=J)
+    rewards = rng.random(J)
+    q = rng.dirichlet(np.ones(fclass.n_arms), size=J)
+    truth = fclass.means[0]
+
+    oracle = OnlineRegressionOracle(fclass)
+    weights, predictions, errors = [], [], []
+    tilde_sum = np.zeros(fclass.n_arms)
+    for t, (arm, reward) in enumerate(zip(arms.tolist(), rewards.tolist())):
+        weights.append(oracle.weights)
+        predictions.append(oracle.predict())
+        tilde_sum += predictions[-1]
+        errors.append(q[t] @ (truth - predictions[-1]) ** 2)
+        oracle.update(arm, reward)
+
+    blocks = list(oracle_weights(fclass.means, arms, rewards))
+    assert [len(w) for w in blocks] == [ORACLE_BLOCK, ORACLE_BLOCK, 37]
+    batched = np.zeros(fclass.n_arms)
+    start = 0
+    for w in blocks:
+        stop = start + len(w)
+        assert w.tobytes() == np.array(weights[start:stop]).tobytes()
+        fhat = _row_products(w, fclass.means)
+        assert fhat.tobytes() == np.array(predictions[start:stop]).tobytes()
+        sq_error = (truth - fhat) ** 2
+        error = _row_products(sq_error, q[start:stop, :, None])[:, 0]
+        assert error.tobytes() == np.array(errors[start:stop]).tobytes()
+        batched = _running_sum(batched, fhat)
+        start = stop
+    assert batched.tobytes() == tilde_sum.tobytes()
 
 
 def test_est_bound_formula():
