@@ -16,7 +16,7 @@ import math
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -251,7 +251,10 @@ class FunctionClass:
             means = np.asarray(doc["means"], dtype=float)
         except (TypeError, ValueError):
             raise ValueError(f"class.means must be a matrix of numbers, got {doc['means']!r}") from None
-        fc = cls(means, labels=labels)
+        try:
+            fc = cls(means, labels=labels)
+        except ValueError as err:
+            raise ValueError(f"class.means: {err}, got {doc['means']!r}") from None
         for key, count in (("arms", fc.n_arms), ("functions", fc.n_functions)):
             if key in doc and config_number(doc[key], int, f"class.{key}") != count:
                 raise ValueError(f"declared class.{key} disagrees with the means matrix")
@@ -459,11 +462,16 @@ class ArmDistribution:
         probs[arm] = 1.0
         return cls(probs)
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative sums of ``probs``, computed once (not a field, so no
+        document carries it)."""
+        return _frozen_array(np.cumsum(self.probs), float)
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Inverse-CDF sampling; deterministic given the generator state."""
-        cdf = np.cumsum(self.probs)
         u = rng.random(size if size is not None else 1)
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), self.n_arms - 1)
+        idx = np.minimum(np.searchsorted(self.cdf, u, side="right"), self.n_arms - 1)
         return int(idx[0]) if size is None else idx.astype(np.int64)
 
 

@@ -153,6 +153,21 @@ def dec_at(
     [0, 1] means never exceed 1), so the search collapses to a single game
     solve and the q witness defaults to uniform.
     """
+    return _dec_at(fclass, anchor, eps, alpha, resolution, {})
+
+
+def _dec_at(
+    fclass: FunctionClass,
+    anchor,
+    eps: float,
+    alpha: float,
+    resolution: float,
+    cache: dict[bytes, tuple[float, np.ndarray]],
+) -> DecResult:
+    """:func:`dec_at` with its inner-game cache passed in.  The cache maps a
+    version set's row mask to the inner game's (value, p); the anchor only
+    picks the masks, so one cache serves every anchor of the same class,
+    alpha and resolution."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if not 0.0 < resolution < 1.0:
@@ -179,7 +194,6 @@ def dec_at(
     member_masks = sq_dev @ candidates.T <= eps * eps  # (functions, candidates)
 
     # Distinct version sets are usually few; solve each inner game once.
-    cache: dict[bytes, tuple[float, np.ndarray]] = {}
     best_value = math.inf
     best_idx = -1
     best_p: np.ndarray | None = None
@@ -237,7 +251,8 @@ def dec_sup(
 
     The report keeps the witnesses of the maximizing anchor and flags the
     value as a lower bound of the sup over the full mixture hull.  Ties break
-    toward the earliest anchor.
+    toward the earliest anchor.  Each distinct version set's inner game is
+    solved once across all anchors.
     """
     if anchors is None:
         anchors = default_anchor_candidates(fclass)
@@ -245,8 +260,9 @@ def dec_sup(
     if not anchors:
         raise ValueError("need at least one anchor candidate")
     best: DecResult | None = None
+    cache: dict[bytes, tuple[float, np.ndarray]] = {}
     for anchor in anchors:
-        res = dec_at(fclass, anchor, eps, alpha, resolution)
+        res = _dec_at(fclass, anchor, eps, alpha, resolution, cache)
         if best is None or res.value > best.value + 1e-15:
             best = res
     return replace(best, bound_direction=LOWER_BOUND_OF_SUP)

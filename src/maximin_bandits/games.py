@@ -9,10 +9,10 @@ indicator matrix of a function class this value is the best worst-case
 probability that a single draw from p lands on an alpha-optimal arm, written
 ``gamma`` throughout.
 
-The program is solved by a self-contained dense-tableau simplex with Bland's
-anti-cycling rule; no external LP solver is involved.  The solve returns both
-players' optimal mixtures, so every value ships with a machine-checkable
-primal/dual certificate.
+The program is solved by a self-contained simplex on Tucker's condensed
+tableau with Bland's anti-cycling rule; no external LP solver is involved.
+The solve returns both players' optimal mixtures, so every value ships with
+a machine-checkable primal/dual certificate.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ def solve_maximin(payoff) -> MaximinSolution:
     The payoff matrix is shifted to be strictly positive, the row player's
     normalized program (max 1'y subject to B' y <= 1, y >= 0) is solved by a
     primal simplex starting from the all-slack basis, and the column player's
-    mixture is read off the final objective row.  Bland's rule (lowest
-    eligible variable index enters; ratio ties leave by lowest basis index)
-    guarantees termination.
+    mixture is read off the final objective row.  The tableau holds only the
+    nonbasic columns (a basic column is a unit vector); pivots and output are
+    those of the full tableau, bit for bit.  Bland's rule (lowest eligible
+    variable index enters; ratio ties leave by lowest basis index) guarantees
+    termination.
     """
     B = np.asarray(payoff, dtype=float)
     if B.ndim != 2 or B.shape[0] < 1 or B.shape[1] < 1:
@@ -72,24 +74,24 @@ def solve_maximin(payoff) -> MaximinSolution:
     shift = 1.0 - min(0.0, float(B.min()))
     G = B + shift  # entries >= 1, so the shifted game value is positive
 
-    # Tableau over y (row player, one variable per function) plus one slack
-    # per arm constraint.  Objective row holds negated reduced costs.
+    # Tableau over y (one per function) and the arm slacks, nonbasic columns only
+    # (column j is variable nonbasic[j]); the last row holds negated reduced costs.
     n_vars = n_rows + n_cols
-    tab = np.zeros((n_cols + 1, n_vars + 1))
+    tab = np.zeros((n_cols + 1, n_rows + 1))
     tab[:n_cols, :n_rows] = G.T
-    tab[:n_cols, n_rows:n_vars] = np.eye(n_cols)
     tab[:n_cols, -1] = 1.0
     tab[n_cols, :n_rows] = -1.0
+    nonbasic = np.arange(n_rows)
     basis = list(range(n_rows, n_vars))
 
     iterations = 0
     max_iterations = 50 * n_vars + 10_000
     while True:
-        negative = np.flatnonzero(tab[n_cols, :n_vars] < -_PIVOT_TOL)
+        negative = np.flatnonzero(tab[n_cols, :n_rows] < -_PIVOT_TOL)
         if negative.size == 0:
             break
-        enter = int(negative[0])  # Bland: lowest-index improving variable
-        col = tab[:n_cols, enter]
+        slot = int(negative[np.argmin(nonbasic[negative])])  # Bland: lowest index enters
+        col = tab[:n_cols, slot]
         feasible = col > _PIVOT_TOL
         if not feasible.any():
             raise RuntimeError("maximin program unbounded; payoff matrix malformed")
@@ -106,12 +108,12 @@ def solve_maximin(payoff) -> MaximinSolution:
             )
         leave = int(min(tied, key=lambda i: basis[i]))
 
-        pivot = tab[leave, enter]
-        tab[leave] /= pivot
-        factor = tab[:, enter].copy()
+        factor = tab[:, slot].copy()
+        tab[:, slot] = np.arange(n_cols + 1) == leave  # the leaving unit column
+        tab[leave] /= factor[leave]
         factor[leave] = 0.0
         tab -= np.outer(factor, tab[leave])
-        basis[leave] = enter
+        nonbasic[slot], basis[leave] = basis[leave], int(nonbasic[slot])
 
         iterations += 1
         if iterations > max_iterations:
@@ -123,13 +125,13 @@ def solve_maximin(payoff) -> MaximinSolution:
     value = 1.0 / total - shift
 
     y = np.zeros(n_vars)
-    for i, b in enumerate(basis):
-        y[b] = tab[i, -1]
+    y[basis] = tab[:n_cols, -1]
     dual = np.clip(y[:n_rows], 0.0, None)
     dual /= dual.sum()
 
-    p_raw = np.clip(tab[n_cols, n_rows:n_vars], 0.0, None)
-    p = p_raw / p_raw.sum()
+    p_raw = np.zeros(n_vars)  # a basic variable's reduced cost is +0.0
+    p_raw[nonbasic] = np.clip(tab[n_cols, :n_rows], 0.0, None)
+    p = p_raw[n_rows:] / p_raw[n_rows:].sum()
 
     return MaximinSolution(
         value=value, p=ArmDistribution(p), dual=dual, iterations=iterations

@@ -108,6 +108,8 @@ def test_function_class_from_json_count_mismatch():
         ({"means": [[1, "high"], [0, 1]]}, "class.means must be a matrix of numbers"),
         ({"means": [[1, 0], [0]]}, "class.means must be a matrix of numbers"),
         ({"means": [[1, {}], [0, 1]]}, "class.means must be a matrix of numbers"),
+        ({"means": 5}, r"class\.means: means must be a matrix .*, got 5"),
+        ({"means": [[2, 0]]}, r"class\.means: mean rewards must lie in \[0, 1\], got \[\[2, 0\]\]"),
     ],
 )
 def test_function_class_from_json_names_a_bad_field(change, message):

@@ -236,6 +236,31 @@ def test_dec_sup_dominates_each_anchor():
     assert sup.bound_direction == "lower-bound-of-sup"
 
 
+def test_dec_sup_solves_each_version_set_once(monkeypatch):
+    import maximin_bandits.dec as dec_module
+
+    calls = []
+
+    def counted(payoff):
+        calls.append(payoff.shape)
+        return solve_maximin(payoff)
+
+    monkeypatch.setattr(dec_module, "solve_maximin", counted)
+    fc, _ = make_tree_class(2, 1)
+    sup = dec_sup(fc, 0.5, 0.3, resolution=0.1)
+    # 47 solves when each anchor kept its own cache
+    assert len(calls) == 15
+    best = None
+    for a in default_anchor_candidates(fc):
+        res = dec_at(fc, a, 0.5, 0.3, resolution=0.1)
+        if best is None or res.value > best.value + 1e-15:
+            best = res
+    assert sup.value.hex() == best.value.hex()
+    for field in ("p_witness", "q_witness"):
+        assert getattr(sup, field).probs.tobytes() == getattr(best, field).probs.tobytes()
+    assert sup.anchor.tobytes() == best.anchor.tobytes()
+
+
 def test_dec_sup_requires_anchor():
     fc = make_k_armed(2)
     with pytest.raises(ValueError):

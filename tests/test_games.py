@@ -100,6 +100,136 @@ def test_duality_gap_reported_by_witnesses():
 
 
 # ---------------------------------------------------------------------------
+# the condensed tableau against the full one
+
+
+def full_tableau_maximin(payoff):
+    """The solver as it was before its tableau dropped the basic columns,
+    frozen as the reference: (value, p, dual, iterations)."""
+    B = np.asarray(payoff, dtype=float)
+    if B.ndim != 2 or B.shape[0] < 1 or B.shape[1] < 1:
+        raise ValueError("payoff must be a nonempty matrix")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("payoff entries must be finite")
+    n_rows, n_cols = B.shape
+    shift = 1.0 - min(0.0, float(B.min()))
+    G = B + shift
+    n_vars = n_rows + n_cols
+    tab = np.zeros((n_cols + 1, n_vars + 1))
+    tab[:n_cols, :n_rows] = G.T
+    tab[:n_cols, n_rows:n_vars] = np.eye(n_cols)
+    tab[:n_cols, -1] = 1.0
+    tab[n_cols, :n_rows] = -1.0
+    basis = list(range(n_rows, n_vars))
+    iterations = 0
+    max_iterations = 50 * n_vars + 10_000
+    while True:
+        negative = np.flatnonzero(tab[n_cols, :n_vars] < -1e-11)
+        if negative.size == 0:
+            break
+        enter = int(negative[0])
+        col = tab[:n_cols, enter]
+        feasible = col > 1e-11
+        if not feasible.any():
+            raise RuntimeError("maximin program unbounded; payoff matrix malformed")
+        ratios = np.full(n_cols, np.inf)
+        ratios[feasible] = tab[:n_cols, -1][feasible] / col[feasible]
+        best = ratios.min()
+        tied = np.flatnonzero(ratios <= best * (1.0 + 1e-12) + 1e-15)
+        if tied.size == 0:
+            raise RuntimeError(
+                f"simplex lost primal feasibility after {iterations} pivots "
+                f"(min rhs {tab[:n_cols, -1].min():.3g})"
+            )
+        leave = int(min(tied, key=lambda i: basis[i]))
+        pivot = tab[leave, enter]
+        tab[leave] /= pivot
+        factor = tab[:, enter].copy()
+        factor[leave] = 0.0
+        tab -= np.outer(factor, tab[leave])
+        basis[leave] = enter
+        iterations += 1
+        if iterations > max_iterations:
+            raise RuntimeError("simplex failed to terminate")
+    total = float(tab[n_cols, -1])
+    if total <= 0:
+        raise RuntimeError("degenerate optimum; payoff matrix malformed")
+    value = 1.0 / total - shift
+    y = np.zeros(n_vars)
+    for i, b in enumerate(basis):
+        y[b] = tab[i, -1]
+    dual = np.clip(y[:n_rows], 0.0, None)
+    dual /= dual.sum()
+    p_raw = np.clip(tab[n_cols, n_rows:n_vars], 0.0, None)
+    return value, p_raw / p_raw.sum(), dual, iterations
+
+
+def _outcome(solve, payoff):
+    """Everything a solve shows, as bytes: the value's hex digits, p, the
+    dual and the pivot count, or the exception's type and text."""
+    try:
+        value, p, dual, iterations = solve(payoff)
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__, str(err)
+    return value.hex(), np.asarray(p).tobytes(), np.asarray(dual).tobytes(), iterations
+
+
+def _condensed(payoff):
+    sol = solve_maximin(payoff)
+    return sol.value, sol.p.probs, sol.dual, sol.iterations
+
+
+def _seeded_matrices():
+    """About 200 seeded payoff matrices of the kinds the solver meets."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for density in (0.1, 0.3, 0.5, 0.8):
+        for _ in range(30):
+            shape = rng.integers(1, 25, size=2)
+            out.append((rng.random(shape) < density).astype(float))
+    for _ in range(34):
+        out.append(rng.standard_normal(rng.integers(1, 20, size=2)))
+    for _ in range(34):
+        out.append(rng.integers(-3, 4, size=rng.integers(1, 20, size=2)).astype(float))
+    zero_row = (rng.random((8, 6)) < 0.4).astype(float)
+    zero_row[3] = 0.0
+    out += [np.ones((5, 7)), zero_row, rng.random((1, 9)), rng.random((9, 1)),
+            (rng.random((1, 12)) < 0.5).astype(float), np.ones((6, 1))]
+    return out
+
+
+def test_condensed_tableau_matches_the_full_one_bit_for_bit():
+    payoffs = _seeded_matrices()
+    payoffs += [gap_matrix(make_tree_class(d, 1)[0], 0.1).astype(float) for d in range(2, 7)]
+    payoffs += [gap_matrix(make_linear_net_class(2, 0.1), a).astype(float) for a in (0.1, 0.3)]
+    # loses primal feasibility after 1133 pivots
+    payoffs.append(gap_matrix(make_linear_net_class(3, 0.7), 0.5).astype(float))
+    payoffs += [np.array([[np.nan, 1.0]]), np.array([1.0, 2.0])]
+    assert len(payoffs) >= 200
+    mismatched = [
+        i for i, B in enumerate(payoffs)
+        if _outcome(_condensed, B) != _outcome(full_tableau_maximin, B)
+    ]
+    assert mismatched == []
+
+
+def test_solver_memory_stays_near_one_condensed_tableau():
+    # the full tableau alone would be (arms + 1)(functions + arms + 1) floats,
+    # about 3x the condensed one on this class
+    import tracemalloc
+
+    B = gap_matrix(make_tree_class(7, 1)[0], 0.1).astype(float)
+    n_rows, n_cols = B.shape
+    tracemalloc.start()
+    try:
+        solve_maximin(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (n_cols + 1) * (n_rows + 1) * 8
+
+
+# ---------------------------------------------------------------------------
 # gamma on constructed classes
 
 

@@ -259,6 +259,12 @@ GOLDEN_COMMANDS = {
         ["gamma", "--alpha", "0.1"], {"constructor": "tree", "depth": 3, "bucket_size": 2},
         "1fc4642a765b9724ec10e0d872edc9b3a5419e377cf9220fc37f9af71f896de8",
     ),
+    # 1006 simplex pivots; recorded on the full-tableau solver, before the
+    # tableau dropped its basic columns
+    "gamma-linear-net-d3": (
+        ["gamma", "--alpha", "0.2"], {"constructor": "linear-net", "dimension": 3, "alpha": 0.7},
+        "63e8582086f8ec77cad469b0b5b82fcc78e978eb1b015eb9744265b021f190c3",
+    ),
     "gamma-inline": (
         ["gamma", "--alpha", "0.3"], INLINE,
         "027e5c699e60f16344918b8f96fe99ca1eef2c8bcdb0f7167a42dfaef39ca61b",
