@@ -410,26 +410,43 @@ def sample_rewards(model: Model, arm, count: int, rng: np.random.Generator) -> n
     kind = model.noise.kind
     if kind == "deterministic":
         rewards = np.full(shape, mu)
-    elif kind == "bernoulli":
-        rewards = (rng.random(shape) < mu).astype(float)
     elif kind == "gaussian":
         rewards = rng.standard_normal(shape)
         rewards *= model.noise.sigma
         rewards += mu
-    elif kind == "two-point":
-        # (lo, hi, p_hi) per listed arm, each a column that broadcasts like mu
-        law = np.array([two_point_support(v, model.noise.c) for v in np.ravel(mu).tolist()])
-        lo, hi, p_hi = law.reshape(-1, 3, 1).swapaxes(0, 1)
-        rewards = np.where(rng.random(shape) < p_hi, hi, lo)
     else:
-        # heavy-tail three-point: variance sigma**2 packed into rare outliers
-        s = model.noise.sigma / math.sqrt(HEAVY_TAIL_OUTLIER_PROB)
-        half = HEAVY_TAIL_OUTLIER_PROB / 2.0
-        u = rng.random(shape)
-        rewards = np.full(shape, mu)
-        np.copyto(rewards, mu - s, where=u < half)
-        np.copyto(rewards, mu + s, where=u >= 1.0 - half)
+        rewards = _rewards_from_uniforms(model.noise, mu, rng.random(shape))
     return rewards.ravel()
+
+
+def _rewards_from_uniforms(noise: NoiseSpec, mu, u: np.ndarray) -> np.ndarray:
+    """Rewards of the bernoulli, two-point and heavy-tail laws, one per
+    uniform in ``u``, at the means ``mu`` (which broadcast against ``u``).
+
+    Each of these laws reads exactly one ``rng.random`` double per reward,
+    so a caller that draws the uniforms itself gets the rewards, and leaves
+    the generator, as :func:`sample_rewards` would.  The rewards are
+    written over ``u``, which is returned, so a draw holds one float per
+    reward at its peak.
+    """
+    if noise.kind == "bernoulli":
+        return np.less(u, mu, out=u)
+    if noise.kind == "two-point":
+        # (lo, hi, p_hi) per mean, each shaped and broadcast like mu
+        law = np.array([two_point_support(v, noise.c) for v in np.ravel(mu).tolist()])
+        lo, hi, p_hi = law.T.reshape((3,) + np.shape(mu))
+        upper = u < p_hi
+        np.copyto(u, lo)
+        np.copyto(u, hi, where=upper)
+        return u
+    # heavy-tail three-point: variance sigma**2 packed into rare outliers
+    s = noise.sigma / math.sqrt(HEAVY_TAIL_OUTLIER_PROB)
+    half = HEAVY_TAIL_OUTLIER_PROB / 2.0
+    low, high = u < half, u >= 1.0 - half
+    np.copyto(u, mu)
+    np.copyto(u, mu - s, where=low)
+    np.copyto(u, mu + s, where=high)
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,9 +487,14 @@ class ArmDistribution:
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Inverse-CDF sampling; deterministic given the generator state."""
-        u = rng.random(size if size is not None else 1)
+        idx = self._inverse_cdf(rng.random(size if size is not None else 1))
+        return int(idx[0]) if size is None else idx
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """The arm of each uniform in ``u``: what :meth:`sample` returns for
+        the doubles it draws."""
         idx = np.minimum(np.searchsorted(self.cdf, u, side="right"), self.n_arms - 1)
-        return int(idx[0]) if size is None else idx.astype(np.int64)
+        return idx.astype(np.int64, copy=False)
 
 
 @dataclass(eq=False)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -148,81 +149,89 @@ def dec_at(
     For each candidate q the inner sup/inf is solved exactly: the value is
     1 minus the maximin coverage of the alpha-indicator matrix restricted to
     the version set's rows, and an empty version set contributes 0.  Ties
-    between candidates break toward the earliest in enumeration order.  When
-    eps >= 1 every version set equals the full class (squared deviations of
-    [0, 1] means never exceed 1), so the search collapses to a single game
-    solve and the q witness defaults to uniform.
+    between candidates break toward the earliest in enumeration order, so
+    only the first candidate of each distinct version set is visited (a
+    later one has the same value and cannot beat the best by 1e-15), and
+    each distinct version set's game is solved once.  When eps >= 1 every
+    version set equals the full class (squared deviations of [0, 1] means
+    never exceed 1), so the search collapses to a single game solve and the
+    q witness defaults to uniform.
     """
-    return _dec_at(fclass, anchor, eps, alpha, resolution, {})
+    return _dec_search(fclass, eps, alpha, resolution)(anchor)
 
 
-def _dec_at(
-    fclass: FunctionClass,
-    anchor,
-    eps: float,
-    alpha: float,
-    resolution: float,
-    cache: dict[bytes, tuple[float, np.ndarray]],
-) -> DecResult:
-    """:func:`dec_at` with its inner-game cache passed in.  The cache maps a
+def _dec_search(fclass: FunctionClass, eps: float, alpha: float, resolution: float):
+    """:func:`dec_at` as a function of the anchor alone.
+
+    The gap matrix, the candidate q's and the inner-game cache are built
+    once, so every anchor of :func:`dec_sup` shares them.  The cache maps a
     version set's row mask to the inner game's (value, p); the anchor only
-    picks the masks, so one cache serves every anchor of the same class,
-    alpha and resolution."""
+    picks the masks.
+    """
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if not 0.0 < resolution < 1.0:
         raise ValueError("resolution must lie in (0, 1)")
-    weights, f_bar = _anchor_prediction(fclass, anchor)
     B = gap_matrix(fclass, alpha).astype(float)
     n_arms = fclass.n_arms
-
-    if eps >= 1.0:
-        sol = solve_maximin(B)
-        return DecResult(
-            value=float(min(1.0, max(0.0, 1.0 - sol.value))),
-            p_witness=sol.p,
-            q_witness=ArmDistribution.uniform(n_arms),
-            anchor=weights,
-            eps=float(eps),
-            alpha=float(alpha),
-            search_resolution=float(resolution),
-            bound_direction=UPPER_BOUND_OF_MIN,
-        )
-
-    candidates = _q_candidates(n_arms, resolution)
-    sq_dev = (fclass.means - f_bar) ** 2  # (functions, arms)
-    member_masks = sq_dev @ candidates.T <= eps * eps  # (functions, candidates)
-
-    # Distinct version sets are usually few; solve each inner game once.
-    best_value = math.inf
-    best_idx = -1
-    best_p: np.ndarray | None = None
-    for j in range(candidates.shape[0]):
-        mask = member_masks[:, j]
-        key = mask.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            if not mask.any():
-                hit = (0.0, np.full(n_arms, 1.0 / n_arms))
-            else:
-                sol = solve_maximin(B[mask])
-                hit = (float(min(1.0, max(0.0, 1.0 - sol.value))), sol.p.probs)
-            cache[key] = hit
-        if hit[0] < best_value - 1e-15:
-            best_value, best_idx, best_p = hit[0], j, hit[1]
-            if best_value <= 0.0:
-                break
-
-    return DecResult(
-        value=best_value,
-        p_witness=ArmDistribution(best_p),
-        q_witness=ArmDistribution(candidates[best_idx]),
-        anchor=weights,
+    report = partial(
+        DecResult,
         eps=float(eps),
         alpha=float(alpha),
         search_resolution=float(resolution),
         bound_direction=UPPER_BOUND_OF_MIN,
     )
+
+    if eps >= 1.0:
+        sol = solve_maximin(B)
+        value = float(min(1.0, max(0.0, 1.0 - sol.value)))
+        uniform = ArmDistribution.uniform(n_arms)
+
+        def at_full_class(anchor) -> DecResult:
+            weights, _ = _anchor_prediction(fclass, anchor)
+            return report(value=value, p_witness=sol.p, q_witness=uniform, anchor=weights)
+
+        return at_full_class
+
+    candidates = _q_candidates(n_arms, resolution)
+    cache: dict[bytes, tuple[float, np.ndarray]] = {}
+
+    def at(anchor) -> DecResult:
+        weights, f_bar = _anchor_prediction(fclass, anchor)
+        sq_dev = (fclass.means - f_bar) ** 2  # (functions, arms)
+        # one row mask per candidate, as bytes, and the first candidate of
+        # each mask: a dict filled from the back keeps each key's least index
+        masks = np.ascontiguousarray((sq_dev @ candidates.T <= eps * eps).T)
+        keys = masks.view(np.dtype((np.void, masks.shape[1]))).ravel().tolist()
+        firsts = sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())
+
+        best_value = math.inf
+        best_idx = -1
+        best_p: np.ndarray | None = None
+        for j in firsts:
+            key = keys[j]
+            hit = cache.get(key)
+            if hit is None:
+                mask = masks[j]
+                if not mask.any():
+                    hit = (0.0, np.full(n_arms, 1.0 / n_arms))
+                else:
+                    sol = solve_maximin(B[mask])
+                    hit = (float(min(1.0, max(0.0, 1.0 - sol.value))), sol.p.probs)
+                cache[key] = hit
+            if hit[0] < best_value - 1e-15:
+                best_value, best_idx, best_p = hit[0], j, hit[1]
+                if best_value <= 0.0:
+                    break
+
+        return report(
+            value=best_value,
+            p_witness=ArmDistribution(best_p),
+            q_witness=ArmDistribution(candidates[best_idx]),
+            anchor=weights,
+        )
+
+    return at
 
 
 def default_anchor_candidates(fclass: FunctionClass, include_midpoints: bool = True) -> list[np.ndarray]:
@@ -260,9 +269,9 @@ def dec_sup(
     if not anchors:
         raise ValueError("need at least one anchor candidate")
     best: DecResult | None = None
-    cache: dict[bytes, tuple[float, np.ndarray]] = {}
+    at = _dec_search(fclass, eps, alpha, resolution)
     for anchor in anchors:
-        res = _dec_at(fclass, anchor, eps, alpha, resolution, cache)
+        res = at(anchor)
         if best is None or res.value > best.value + 1e-15:
             best = res
     return replace(best, bound_direction=LOWER_BOUND_OF_SUP)

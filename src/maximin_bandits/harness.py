@@ -456,7 +456,10 @@ def tree_descent_prober(meta: TreeMeta, reps_per_stage: int = 1):
 
     def prober(query, rng) -> int:
         def stage_mean(arm: int, count: int) -> float:
-            return sum(query(arm) for _ in range(count)) / count
+            total = 0
+            for _ in range(count):
+                total += query(arm)
+            return total / count
 
         return descend_tree(meta, stage_mean, reps_per_stage, reps_per_stage)[1]
 

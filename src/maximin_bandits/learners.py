@@ -39,6 +39,7 @@ from .core import (
     Transcript,
     from_json,
     gap_matrix,
+    _rewards_from_uniforms,
     sample_rewards,
 )
 from .dec import dec_at, version_set
@@ -248,9 +249,12 @@ def descend_tree(meta: TreeMeta, stage_mean, n_node: int, n_leaf: int) -> tuple[
     leaf = 0
     for bit in path:
         leaf = 2 * leaf + bit
-    bucket = meta.bucket_arms_of(leaf)
-    estimates = [stage_mean(arm, n_leaf) for arm in bucket]
-    return leaf, bucket[int(np.argmax(estimates))]
+    best_arm, best = -1, -math.inf
+    for arm in meta.bucket_arms_of(leaf):
+        estimate = stage_mean(arm, n_leaf)
+        if estimate > best:
+            best_arm, best = arm, estimate
+    return leaf, best_arm
 
 
 def run_tree_descent(
@@ -280,20 +284,21 @@ def run_tree_descent(
     n_leaf = math.ceil(8.0 / (params.alpha * params.alpha) * log_term)
 
     rng = np.random.default_rng(seed)
-    arms_chunks: list[np.ndarray] = []
+    stages: list[tuple[int, int]] = []
     rewards_chunks: list[np.ndarray] = []
 
     def stage_mean(arm: int, count: int) -> float:
         block = sample_rewards(model, arm, count, rng)
-        arms_chunks.append(np.full(count, arm, dtype=np.int64))
+        stages.append((arm, count))
         rewards_chunks.append(block)
-        return block.mean()
+        return block.sum() / count  # the division np.mean does
 
     leaf, winner = descend_tree(meta, stage_mean, n_node, n_leaf)
+    arms, counts = zip(*stages)
     return Transcript(
         learner_name="tree-descent",
         seed=seed,
-        arms=np.concatenate(arms_chunks),
+        arms=np.repeat(np.array(arms, dtype=np.int64), counts),
         rewards=np.concatenate(rewards_chunks),
         output_arm=winner,
         meta={"leaf": leaf, "per_node": n_node, "per_leaf_arm": n_leaf},
@@ -430,6 +435,47 @@ def est_bound(n_functions: int, delta: float) -> float:
     return 4.0 * math.log(n_functions) + 16.0 * math.log(2.0 / delta)
 
 
+def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
+    """e2d's J exploration rounds: their arms and rewards, and each round's
+    search, or None when ``fixed`` (the one search of eps_bar >= 1) serves
+    every round.
+
+    A round draws its arm, then its reward, on ``rng``.  Where the search is
+    fixed and the noise reads one ``rng.random`` double per reward
+    (bernoulli, two-point, heavy-tail) or none (deterministic), one call
+    draws all J rounds, row by row: the loop's doubles in the loop's order,
+    since numpy fills a long draw exactly as consecutive short ones.  The
+    loop stays where the search reads the oracle every round (eps_bar < 1)
+    and for Gaussian noise, whose ziggurat reads a variable number of words.
+    """
+    kind = model.noise.kind
+    if fixed is not None and kind != "gaussian":
+        u = rng.random((J, 1 if kind == "deterministic" else 2))
+        arms = fixed.q_witness._inverse_cdf(u[:, 0])
+        rewards = model.true_means[arms]
+        if kind != "deterministic":
+            rewards = _rewards_from_uniforms(model.noise, rewards, u[:, 1])
+        return arms, rewards, None
+
+    oracle = OnlineRegressionOracle(fclass)
+    searches = []
+    arms = np.empty(J, dtype=np.int64)
+    rewards = np.empty(J)
+    for t in range(J):
+        if fixed is None:
+            res = dec_at(fclass, oracle.weights, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
+            searches.append(res)
+        else:
+            res = fixed
+        arm = res.q_witness.sample(rng)
+        reward = float(sample_rewards(model, arm, 1, rng)[0])
+        arms[t] = arm
+        rewards[t] = reward
+        if fixed is None:
+            oracle.update(arm, reward)
+    return arms, rewards, searches if fixed is None else None
+
+
 def run_e2d(
     fclass: FunctionClass,
     params: LearnerParams,
@@ -458,11 +504,15 @@ def run_e2d(
     ``dec-too-large`` error tag in the transcript instead of failing silently.
     No positive-coverage precondition is required up front.
 
-    The draws alternate arm and reward on one generator, so exploration draws
-    one round at a time.  The oracle's weights depend only on arms and
-    rewards already drawn, so every mixture the learner reads (each
-    exploration round's, for the estimation error and the picked anchors,
-    and each branch's J predictions) comes from one batched
+    Exploration draws arm and reward alternately on one generator.  With
+    eps_bar >= 1 and noise that reads one uniform per reward or none (all
+    kinds but Gaussian), one generator call draws every round at once, with
+    the same doubles; otherwise it draws one round at a time, because the
+    search reads the oracle each round (eps_bar < 1) or the Gaussian
+    ziggurat reads a variable number of words.  The oracle's weights depend
+    only on arms and rewards already drawn, so every mixture the learner
+    reads (each exploration round's, for the estimation error and the picked
+    anchors, and each branch's J predictions) comes from one batched
     :func:`oracle_weights` pass per phase.  Its products are stacked
     matmuls, one vector product per row, which keep the bits of the
     step-by-step oracle; a plain 2-D matmul would not.
@@ -489,22 +539,9 @@ def run_e2d(
     fixed = dec_at(fclass, np.full(fclass.n_functions, 1.0 / fclass.n_functions),
                    eps_bar, half_alpha, E2D_SEARCH_RESOLUTION) if eps_bar >= 1.0 else None
 
-    oracle = OnlineRegressionOracle(fclass)
-    searches = []
-    explore_arms = np.empty(J, dtype=np.int64)
-    explore_rewards = np.empty(J)
-    for t in range(J):
-        if fixed is None:
-            res = dec_at(fclass, oracle.weights, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
-        else:
-            res = fixed
-        searches.append(res)
-        arm = res.q_witness.sample(rng)
-        reward = float(sample_rewards(model, arm, 1, rng)[0])
-        explore_arms[t] = arm
-        explore_rewards[t] = reward
-        if fixed is None:
-            oracle.update(arm, reward)
+    explore_arms, explore_rewards, searches = _explore(
+        fclass, model, fixed, eps_bar, half_alpha, J, rng)
+    search_at = (lambda t: fixed) if searches is None else searches.__getitem__
     arms_chunks.append(explore_arms)
     rewards_chunks.append(explore_rewards)
     picked_rounds = rng.integers(0, J, size=L)
@@ -518,7 +555,10 @@ def run_e2d(
     for w in oracle_weights(fclass.means, explore_arms, explore_rewards):
         stop = start + len(w)
         fhat = _row_products(w, fclass.means)
-        q = np.stack([search.q_witness.probs for search in searches[start:stop]])
+        if searches is None:
+            q = np.broadcast_to(fixed.q_witness.probs, (stop - start, fclass.n_arms))
+        else:
+            q = np.stack([search.q_witness.probs for search in searches[start:stop]])
         sq_error = (true_means - fhat) ** 2
         est_error = _running_sum(est_error, _row_products(sq_error, q[:, :, None])[:, 0])
         for t in picked_rounds.tolist():
@@ -529,7 +569,7 @@ def run_e2d(
     scores = np.empty(L)
     for branch in range(L):
         t = int(picked_rounds[branch])
-        q = searches[t].q_witness
+        q = search_at(t).q_witness
         # the branch's arms are committed before its first reward
         branch_arms = q.sample(rng, J)
         branch_rewards = sample_rewards(model, branch_arms, 1, rng)
@@ -543,8 +583,8 @@ def run_e2d(
 
     best_branch = int(np.argmin(scores))
     chosen = int(picked_rounds[best_branch])
-    p_hat = searches[chosen].p_witness.probs
-    q_hat = searches[chosen].q_witness
+    p_hat = search_at(chosen).p_witness.probs
+    q_hat = search_at(chosen).q_witness
     versions = version_set(fclass, weights_at[chosen], q_hat, eps_bar)
     if versions.is_empty:
         eff_gamma = 1.0

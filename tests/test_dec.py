@@ -236,6 +236,35 @@ def test_dec_sup_dominates_each_anchor():
     assert sup.bound_direction == "lower-bound-of-sup"
 
 
+def per_candidate_dec_at(fclass, anchor, eps, alpha, resolution, cache):
+    """A frozen copy of the search that visited every candidate q."""
+    import maximin_bandits.dec as dec_module
+
+    weights, f_bar = dec_module._anchor_prediction(fclass, anchor)
+    B = gap_matrix(fclass, alpha).astype(float)
+    n_arms = fclass.n_arms
+    candidates = dec_module._q_candidates(n_arms, resolution)
+    sq_dev = (fclass.means - f_bar) ** 2
+    member_masks = sq_dev @ candidates.T <= eps * eps
+    best_value, best_idx, best_p = math.inf, -1, None
+    for j in range(candidates.shape[0]):
+        mask = member_masks[:, j]
+        key = mask.tobytes()
+        hit = cache.get(key)
+        if hit is None:
+            if not mask.any():
+                hit = (0.0, np.full(n_arms, 1.0 / n_arms))
+            else:
+                sol = dec_module.solve_maximin(B[mask])
+                hit = (float(min(1.0, max(0.0, 1.0 - sol.value))), sol.p.probs)
+            cache[key] = hit
+        if hit[0] < best_value - 1e-15:
+            best_value, best_idx, best_p = hit[0], j, hit[1]
+            if best_value <= 0.0:
+                break
+    return best_value, best_p, candidates[best_idx], weights
+
+
 def test_dec_sup_solves_each_version_set_once(monkeypatch):
     import maximin_bandits.dec as dec_module
 
@@ -259,6 +288,28 @@ def test_dec_sup_solves_each_version_set_once(monkeypatch):
     for field in ("p_witness", "q_witness"):
         assert getattr(sup, field).probs.tobytes() == getattr(best, field).probs.tobytes()
     assert sup.anchor.tobytes() == best.anchor.tobytes()
+
+    # Against the scan of every candidate with one cache across anchors:
+    # the same value, witnesses and solves, in (depth, eps, alpha, resolution).
+    for depth, eps, alpha, resolution in (
+        (2, 0.5, 0.3, 0.1), (2, 0.3, 0.5, 0.2), (2, 0.8, 0.2, 0.25),
+        (3, 0.5, 0.3, 0.34), (3, 0.3, 0.5, 0.25),
+    ):
+        fc, _ = make_tree_class(depth, 1)
+        calls.clear()
+        sup = dec_sup(fc, eps, alpha, resolution=resolution)
+        solves = len(calls)
+        calls.clear()
+        cache, want = {}, None
+        for a in default_anchor_candidates(fc):
+            res = per_candidate_dec_at(fc, a, eps, alpha, resolution, cache)
+            if want is None or res[0] > want[0] + 1e-15:
+                want = res
+        assert solves == len(calls)
+        assert sup.value.hex() == want[0].hex()
+        assert sup.p_witness.probs.tobytes() == want[1].tobytes()
+        assert sup.q_witness.probs.tobytes() == want[2].tobytes()
+        assert sup.anchor.tobytes() == want[3].tobytes()
 
 
 def test_dec_sup_requires_anchor():

@@ -159,10 +159,20 @@ GOLDEN_TRANSCRIPTS = {
         "aedec10feb0f8580cd3a5e50ef38fbdb69bec8349b1e0e13e275dfae4ccd2229",
     "tree-descent:bernoulli":
         "94499b9ee4602afea16ecea27293ff9a2a2ecf35caca8f7a7f3d96dcf30e871d",
+    "tree-descent:deterministic":
+        "199f30f820c7b5bad5b3f1f0635e1c435b59b33f11eefbfcf0c09490c62717c6",
     "e2d:bernoulli":
         "ba0decd5202a719551c5f0e33b863f9b85c88570902c6998e6300e49425129ba",
     "e2d:two-point":
         "351e259ef3fefe78757bf1c71f25ba70c8f1976d69a0d4f2cf8346fc29368913",
+    # The three below were recorded from the per-round exploration loop,
+    # before the rounds of a fixed search were drawn in one block.
+    "e2d:deterministic":
+        "a5ca02825a315c7ebd729ab6378ee307787405ca9d6cd89a1eb3eeaf66c818c7",
+    "e2d:heavy-tail":
+        "1048336e2bb7fd89fa982a2a51520d937dbf74fb40f2ded7a11feb177523da78",
+    "e2d:gaussian":
+        "dc417ed794f3cafa3b4d826e3beefa81c22a10b87e6ea2637a12d3818167edaf",
 }
 
 
@@ -329,6 +339,12 @@ GOLDEN_COMMANDS = {
             "grid": {"params.delta": [0.1, 0.3], "params.reps_per_arm": [1, 2]},
         },
         "22ee7ac6873d117377476c9bf92bd57584ee404d9133b5b0d42aca9963fe3ee8",
+    ),
+    # the JSON file at the default seed; recorded before tree descent logged
+    # its arms per stage and summed its answers in a plain loop
+    "adaptivity-depth-4": (
+        ["adaptivity", "--depth", "4", "--trials", "200", "--out", "adaptivity.json"], None,
+        "126dc435119706b8c0bd832baaea915990674c5ac6dd3f8bdea51fd0804d10fc",
     ),
 }
 

@@ -499,3 +499,133 @@ def test_e2d_est_error_within_bound_typically():
         t = run_e2d(fclass, params, model, seed=500 + i)
         inside += t.meta["est_error"] <= t.meta["est_bound"]
     assert inside >= 16  # 1 - delta of trials, with slack
+
+
+# A frozen copy of the per-round exploration loop, the reference for the
+# block path: one arm, then one reward, per round on one generator, and one
+# search per round.
+
+NOISES = {
+    "deterministic": NoiseSpec.deterministic(),
+    "bernoulli": NoiseSpec.bernoulli(),
+    "two-point": NoiseSpec.two_point(0.25),
+    "heavy-tail": NoiseSpec.heavy_tail(0.3),
+    "gaussian": NoiseSpec.gaussian(0.3),
+}
+
+INTERIOR_MEANS = [
+    [0.70, 0.40, 0.35, 0.30, 0.45],
+    [0.40, 0.70, 0.35, 0.45, 0.30],
+    [0.35, 0.40, 0.70, 0.30, 0.45],
+    [0.45, 0.30, 0.40, 0.70, 0.35],
+]
+
+
+def per_round_explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
+    from maximin_bandits.learners import E2D_SEARCH_RESOLUTION, dec_at
+
+    oracle = OnlineRegressionOracle(fclass)
+    searches = []
+    explore_arms = np.empty(J, dtype=np.int64)
+    explore_rewards = np.empty(J)
+    for t in range(J):
+        if fixed is None:
+            res = dec_at(fclass, oracle.weights, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
+        else:
+            res = fixed
+        searches.append(res)
+        arm = res.q_witness.sample(rng)
+        reward = float(sample_rewards(model, arm, 1, rng)[0])
+        explore_arms[t] = arm
+        explore_rewards[t] = reward
+        if fixed is None:
+            oracle.update(arm, reward)
+    return explore_arms, explore_rewards, searches
+
+
+def e2d_case(name, kind):
+    if name == "eps-bar-below-one":
+        fclass = make_k_armed(2)
+        return fclass, LearnerParams(alpha=0.2, delta=0.9, horizon=12000), Model(fclass, 0, NOISES[kind])
+    if name == "tree-d2-t4000":
+        fclass, _ = make_tree_class(2, 1)
+        return fclass, LearnerParams(alpha=0.2, delta=0.2, horizon=4000), Model(fclass, 1, NOISES[kind])
+    if name == "tree-d3-t400":
+        fclass, _ = make_tree_class(3, 1)
+        return fclass, LearnerParams(alpha=0.2, delta=0.2, horizon=400), Model(fclass, 5, NOISES[kind])
+    fclass = FunctionClass(INTERIOR_MEANS)
+    return fclass, LearnerParams(alpha=0.2, delta=0.05, horizon=400), Model(fclass, 2, NOISES[kind])
+
+
+def assert_same_run(got, want):
+    assert got.arms.tobytes() == want.arms.tobytes()
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.output_arm == want.output_arm
+    assert repr(got.meta) == repr(want.meta)
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [(name, kind) for name in ("interior-t400", "tree-d2-t4000", "tree-d3-t400") for kind in NOISES]
+    + [("eps-bar-below-one", "heavy-tail")],
+)
+def test_e2d_block_exploration_matches_the_per_round_loop(monkeypatch, name, kind):
+    from maximin_bandits import learners
+
+    fclass, params, model = e2d_case(name, kind)
+    seeds = (7,) if name == "eps-bar-below-one" else (0, 1, 2)
+    for seed in seeds:
+        got = run_e2d(fclass, params, model, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(learners, "_explore", per_round_explore)
+            want = run_e2d(fclass, params, model, seed)
+        assert (got.meta["eps_bar"] >= 1.0) == (name != "eps-bar-below-one")
+        assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(NOISES))
+def test_e2d_searching_exploration_matches_the_per_round_loop(kind):
+    # the eps_bar < 1 rounds, a search each, on a short run of rounds
+    from maximin_bandits.learners import _explore
+
+    fclass = make_k_armed(2)
+    model = Model(fclass, 1, NOISES[kind])
+    for seed in (3, 4):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _explore(fclass, model, None, 0.94, 0.1, 60, rngs[0])
+        want = per_round_explore(fclass, model, None, 0.94, 0.1, 60, rngs[1])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        for a, b in zip(got[2], want[2], strict=True):
+            assert a.value.hex() == b.value.hex()
+            assert a.q_witness.probs.tobytes() == b.q_witness.probs.tobytes()
+            assert a.p_witness.probs.tobytes() == b.p_witness.probs.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_e2d_fixed_search_draws_do_not_grow_with_the_horizon(monkeypatch):
+    from maximin_bandits import learners
+
+    calls = []
+    sample, rewards = ArmDistribution.sample, learners.sample_rewards
+
+    def counted_sample(self, rng, size=None):
+        calls.append("arm")
+        return sample(self, rng, size)
+
+    def counted_rewards(*args):
+        calls.append("reward")
+        return rewards(*args)
+
+    monkeypatch.setattr(ArmDistribution, "sample", counted_sample)
+    monkeypatch.setattr(learners, "sample_rewards", counted_rewards)
+    fclass, _ = make_tree_class(2, 1)
+    model = Model(fclass, 1, NoiseSpec.bernoulli())
+    counts = []
+    for horizon in (400, 4000):
+        calls.clear()
+        t = run_e2d(fclass, LearnerParams(alpha=0.2, delta=0.2, horizon=horizon), model, seed=5)
+        assert t.meta["eps_bar"] >= 1.0 and "m" in t.meta
+        counts.append(len(calls))
+    # per branch one arm block and one reward block, then the final phase's
+    assert counts == [2 * t.meta["L"] + 2] * 2
