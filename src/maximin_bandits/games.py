@@ -60,9 +60,11 @@ def solve_maximin(payoff) -> MaximinSolution:
     primal simplex starting from the all-slack basis, and the column player's
     mixture is read off the final objective row.  The tableau holds only the
     nonbasic columns (a basic column is a unit vector); pivots and output are
-    those of the full tableau, bit for bit.  Bland's rule (lowest eligible
-    variable index enters; ratio ties leave by lowest basis index) guarantees
-    termination.
+    those of the full tableau, bit for bit.  Each pivot updates the tableau in
+    place, through buffers allocated once per solve, with the same pivots and
+    the same rounding as a fresh ``np.outer`` per pivot.  Bland's rule (lowest
+    eligible variable index enters; ratio ties leave by lowest basis index)
+    guarantees termination.
     """
     B = np.asarray(payoff, dtype=float)
     if B.ndim != 2 or B.shape[0] < 1 or B.shape[1] < 1:
@@ -82,38 +84,55 @@ def solve_maximin(payoff) -> MaximinSolution:
     tab[:n_cols, -1] = 1.0
     tab[n_cols, :n_rows] = -1.0
     nonbasic = np.arange(n_rows)
-    basis = list(range(n_rows, n_vars))
+    basis = np.arange(n_rows, n_vars)
+
+    # Views and buffers the pivots reuse: the tableau is updated in place.
+    cost = tab[n_cols, :n_rows]
+    rhs = tab[:n_cols, -1]
+    factor = np.empty(n_cols + 1)  # the entering column, then the row multipliers
+    col = factor[:n_cols]
+    feasible = np.empty(n_cols, dtype=bool)
+    ratios = np.empty(n_cols)
+    product = np.empty_like(tab)
 
     iterations = 0
     max_iterations = 50 * n_vars + 10_000
     while True:
-        negative = np.flatnonzero(tab[n_cols, :n_rows] < -_PIVOT_TOL)
-        if negative.size == 0:
+        # Bland: the eligible variable of lowest index enters (indices are < n_vars)
+        slot = int(np.where(cost < -_PIVOT_TOL, nonbasic, n_vars).argmin())
+        if cost[slot] >= -_PIVOT_TOL:
             break
-        slot = int(negative[np.argmin(nonbasic[negative])])  # Bland: lowest index enters
-        col = tab[:n_cols, slot]
-        feasible = col > _PIVOT_TOL
+        np.copyto(factor, tab[:, slot])
+        np.greater(col, _PIVOT_TOL, out=feasible)
         if not feasible.any():
             raise RuntimeError("maximin program unbounded; payoff matrix malformed")
-        ratios = np.full(n_cols, inf)
-        ratios[feasible] = tab[:n_cols, -1][feasible] / col[feasible]
-        best = ratios.min()
-        tied = np.flatnonzero(ratios <= best * (1.0 + 1e-12) + 1e-15)
-        if tied.size == 0:
+        ratios.fill(inf)
+        np.divide(rhs, col, out=ratios, where=feasible)
+        best = float(ratios.min())
+        tied = ratios <= best * (1.0 + 1e-12) + 1e-15
+        # Bland again: of the rows tied in the ratio test, the lowest basis index leaves
+        leave = int(np.where(tied, basis, n_vars).argmin())
+        if not tied[leave]:
             # only a negative ratio (best < -1e-3) can fall below its own
             # threshold, so the basis has gone infeasible
             raise RuntimeError(
                 f"simplex lost primal feasibility after {iterations} pivots "
-                f"(min rhs {tab[:n_cols, -1].min():.3g})"
+                f"(min rhs {rhs.min():.3g})"
             )
-        leave = int(min(tied, key=lambda i: basis[i]))
 
-        factor = tab[:, slot].copy()
-        tab[:, slot] = np.arange(n_cols + 1) == leave  # the leaving unit column
-        tab[leave] /= factor[leave]
+        # The leaving unit column takes the entering one's place, then the
+        # rank-1 update rounds as np.outer and -= do: a plain multiply, then a
+        # subtract.  einsum would add the product into a zeroed output (a
+        # -0.0 product turns +0.0), and matmul may fuse multiply and add.
+        tab[:, slot] = 0.0
+        tab[leave, slot] = 1.0
+        row = tab[leave]
+        row /= factor[leave]
         factor[leave] = 0.0
-        tab -= np.outer(factor, tab[leave])
-        nonbasic[slot], basis[leave] = basis[leave], int(nonbasic[slot])
+        np.copyto(product, factor[:, None])
+        product *= row
+        tab -= product
+        nonbasic[slot], basis[leave] = basis[leave], nonbasic[slot]
 
         iterations += 1
         if iterations > max_iterations:
@@ -125,12 +144,12 @@ def solve_maximin(payoff) -> MaximinSolution:
     value = 1.0 / total - shift
 
     y = np.zeros(n_vars)
-    y[basis] = tab[:n_cols, -1]
+    y[basis] = rhs
     dual = np.clip(y[:n_rows], 0.0, None)
     dual /= dual.sum()
 
     p_raw = np.zeros(n_vars)  # a basic variable's reduced cost is +0.0
-    p_raw[nonbasic] = np.clip(tab[n_cols, :n_rows], 0.0, None)
+    p_raw[nonbasic] = np.clip(cost, 0.0, None)
     p = p_raw[n_rows:] / p_raw[n_rows:].sum()
 
     return MaximinSolution(

@@ -42,7 +42,7 @@ from .core import (
     _rewards_from_uniforms,
     sample_rewards,
 )
-from .dec import dec_at, version_set
+from .dec import _dec_search, dec_at, version_set
 from .environments import TreeMeta
 from .estimators import (
     MoMConfig,
@@ -447,6 +447,9 @@ def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
     since numpy fills a long draw exactly as consecutive short ones.  The
     loop stays where the search reads the oracle every round (eps_bar < 1)
     and for Gaussian noise, whose ziggurat reads a variable number of words.
+    Searching rounds share one :func:`dec._dec_search`: its gap matrix, its
+    candidate grid and its inner-game cache are built once, so a version set
+    met in an earlier round is not solved again.
     """
     kind = model.noise.kind
     if fixed is not None and kind != "gaussian":
@@ -458,12 +461,14 @@ def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
         return arms, rewards, None
 
     oracle = OnlineRegressionOracle(fclass)
+    if fixed is None:  # one search, and one inner-game cache, for every round
+        search = _dec_search(fclass, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
     searches = []
     arms = np.empty(J, dtype=np.int64)
     rewards = np.empty(J)
     for t in range(J):
         if fixed is None:
-            res = dec_at(fclass, oracle.weights, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
+            res = search(oracle.weights)
             searches.append(res)
         else:
             res = fixed

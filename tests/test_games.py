@@ -204,6 +204,11 @@ def test_condensed_tableau_matches_the_full_one_bit_for_bit():
     payoffs += [gap_matrix(make_linear_net_class(2, 0.1), a).astype(float) for a in (0.1, 0.3)]
     # loses primal feasibility after 1133 pivots
     payoffs.append(gap_matrix(make_linear_net_class(3, 0.7), 0.5).astype(float))
+    # gamma-lp's random 0/1 classes, where several rows tie in most ratio tests
+    rng = np.random.default_rng(15)
+    payoffs += [(rng.random(rng.integers(40, 81, size=2)) < 0.3).astype(float) for _ in range(4)]
+    # the 545-point net: loses primal feasibility after 204 pivots
+    payoffs.append(gap_matrix(make_linear_net_class(3, 0.3), 0.3).astype(float))
     payoffs += [np.array([[np.nan, 1.0]]), np.array([1.0, 2.0])]
     assert len(payoffs) >= 200
     mismatched = [

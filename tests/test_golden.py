@@ -9,6 +9,7 @@ persisted that alters a single output byte fails here.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from maximin_bandits.cli import main
@@ -263,6 +264,10 @@ def test_adaptivity_matches_pinned_digest(capsys, key):
 
 TREE_D2 = {"constructor": "tree", "depth": 2, "bucket_size": 1}
 
+#: A seeded random 0/1 class, 100 x 100 at density 0.3: its game takes 930
+#: simplex pivots, many with several rows tied in the ratio test.
+RANDOM_01 = {"means": (np.random.default_rng(0).random((100, 100)) < 0.3).astype(float).tolist()}
+
 #: name -> (arguments before ``--config``, config document or None, sha256)
 GOLDEN_COMMANDS = {
     "gamma-tree-d3-bucket2": (
@@ -274,6 +279,11 @@ GOLDEN_COMMANDS = {
     "gamma-linear-net-d3": (
         ["gamma", "--alpha", "0.2"], {"constructor": "linear-net", "dimension": 3, "alpha": 0.7},
         "63e8582086f8ec77cad469b0b5b82fcc78e978eb1b015eb9744265b021f190c3",
+    ),
+    # recorded before the pivot updated the tableau in place
+    "gamma-random-100": (
+        ["gamma", "--alpha", "0.5"], RANDOM_01,
+        "95ae7e74305cb8457bbff49b2c5f1a2ca2665a5c6747b5ff574821d15e754d46",
     ),
     "gamma-inline": (
         ["gamma", "--alpha", "0.3"], INLINE,

@@ -465,24 +465,39 @@ def test_e2d_succeeds_under_deterministic_noise():
 
 def test_e2d_searches_every_round_when_eps_bar_below_one(monkeypatch):
     # eps_bar < 1 only at long horizons; delta 0.9 gives L = 3 and brings it
-    # down to about 0.94 at T = 12000, so every exploration round re-solves
+    # down to about 0.94 at T = 12000, so every exploration round re-runs
     # the decision-estimation search around the oracle's current mixture
-    from maximin_bandits import learners
+    from maximin_bandits import dec, learners
 
     fclass = make_k_armed(2)
     params = LearnerParams(alpha=0.2, delta=0.9, horizon=12000)
     model = Model(fclass, 0, NoiseSpec.bernoulli())
-    calls = []
-    dec_at = learners.dec_at
+    searches = []
+    solved = []
+    dec_search = learners._dec_search
+    solve = dec.solve_maximin
 
-    def counting_dec_at(*args, **kwargs):
-        calls.append(1)
-        return dec_at(*args, **kwargs)
+    def counting_dec_search(*args, **kwargs):
+        search = dec_search(*args, **kwargs)
 
-    monkeypatch.setattr(learners, "dec_at", counting_dec_at)
+        def counting_search(anchor):
+            searches.append(1)
+            return search(anchor)
+
+        return counting_search
+
+    def counting_solve(payoff):
+        solved.append((payoff.shape, payoff.tobytes()))
+        return solve(payoff)
+
+    monkeypatch.setattr(learners, "_dec_search", counting_dec_search)
+    monkeypatch.setattr(dec, "solve_maximin", counting_solve)
     t = run_e2d(fclass, params, model, seed=7)
     assert t.meta["eps_bar"] < 1.0
-    assert len(calls) == t.meta["J"]
+    assert len(searches) == t.meta["J"]
+    # the rounds share one inner-game cache: each distinct version set is
+    # solved once, and the 2-function class has only 3 nonempty ones
+    assert len(solved) == len(set(solved)) <= 3
     monkeypatch.undo()
     again = run_e2d(fclass, params, model, seed=7)
     assert again.arms.tobytes() == t.arms.tobytes()
