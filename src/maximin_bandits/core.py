@@ -497,41 +497,70 @@ class ArmDistribution:
         return idx.astype(np.int64, copy=False)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Transcript:
     """The full interaction record of one learner run.
 
-    ``arms[i]`` is the arm queried in round i+1 (rounds count from 1) and
-    ``rewards[i]`` the observed reward.  ``meta`` carries learner-specific
-    diagnostics (and an ``error`` tag when a run ends abnormally).  Arrays
-    passed in are frozen in place, not copied, so the caller gives up
-    writing to them.
+    The arm log is kept as runs: run j queries arm ``runs[j]`` for
+    ``run_lengths[j]`` consecutive rounds (``run_lengths`` is one int for
+    every run, or one int per run; the default 1 makes ``runs`` the per-query
+    log itself).  ``arms[i]`` is the arm queried in round i+1 (rounds count
+    from 1), expanded from the runs on first read and cached; ``rewards[i]``
+    is the observed reward.  ``meta`` carries learner-specific diagnostics
+    (and an ``error`` tag when a run ends abnormally).  Arrays passed in are
+    frozen in place, not copied, so the caller gives up writing to them.
     """
 
     learner_name: str
     seed: int
-    arms: np.ndarray
+    runs: np.ndarray
     rewards: np.ndarray
     output_arm: int
+    run_lengths: int | np.ndarray = 1
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arms = np.asarray(self.arms, dtype=np.int64)
+        runs = np.asarray(self.runs, dtype=np.int64)
         rewards = np.asarray(self.rewards, dtype=float)
-        arms.setflags(write=False)
+        runs.setflags(write=False)
         rewards.setflags(write=False)
-        if arms.ndim != 1 or rewards.ndim != 1 or arms.size != rewards.size:
-            raise ValueError("arms and rewards must be 1-D and equal length")
+        if runs.ndim != 1 or rewards.ndim != 1:
+            raise ValueError("runs and rewards must be 1-D")
+        lengths = self.run_lengths
+        if np.ndim(lengths) == 0:
+            lengths = int(lengths)
+            shortest, total = lengths, runs.size * lengths
+        else:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            lengths.setflags(write=False)
+            if lengths.ndim != 1 or lengths.size != runs.size:
+                raise ValueError("run_lengths must hold one length per run")
+            shortest = lengths.min() if lengths.size else 1
+            total = int(lengths.sum())
+        if shortest < 1:
+            raise ValueError("run lengths must be >= 1")
+        if total != rewards.size:
+            raise ValueError("run lengths must sum to the reward count")
         if self.output_arm < 0:
             raise ValueError("output arm must be a valid index")
-        if arms.size and arms.min() < 0:
+        if runs.size and runs.min() < 0:
             raise ValueError("queried arms must be valid indices")
-        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "rewards", rewards)
+        object.__setattr__(self, "run_lengths", lengths)
+
+    @cached_property
+    def arms(self) -> np.ndarray:
+        """The per-query arm log, ``np.repeat(runs, run_lengths)``, read-only."""
+        if self.runs.size == self.rewards.size:  # every run has length 1
+            return self.runs
+        arms = np.repeat(self.runs, self.run_lengths)
+        arms.setflags(write=False)
+        return arms
 
     @property
     def total_queries(self) -> int:
-        return int(self.arms.size)
+        return int(self.rewards.size)
 
 
 def gap_matrix(fclass: FunctionClass, alpha: float) -> np.ndarray:

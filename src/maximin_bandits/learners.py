@@ -141,12 +141,13 @@ def _witness_sampling_phase(
 def _query_blocks(model: Model, arms, n_per: int, rng: np.random.Generator):
     """Query each listed arm ``n_per`` times consecutively, in one draw.
 
-    Returns the flat arm and reward logs and the rewards viewed as one
-    ``n_per``-long block per listed arm.
+    Returns the flat reward log and the rewards viewed as one ``n_per``-long
+    block per listed arm.  It builds no arm log: the listed arms are the
+    log's runs, each ``n_per`` long, which is how :class:`Transcript` keeps it.
     """
     arms = np.asarray(arms, dtype=np.int64)
     rewards = sample_rewards(model, arms, n_per, rng)
-    return np.repeat(arms, n_per), rewards, rewards.reshape(arms.size, n_per)
+    return rewards, rewards.reshape(arms.size, n_per)
 
 
 def run_empirical_mean_learner(
@@ -173,13 +174,14 @@ def run_empirical_mean_learner(
 
     rng = np.random.default_rng(seed)
     drawn = p_star.sample(rng, m)
-    arms_log, rewards, blocks = _query_blocks(model, drawn, n_per, rng)
+    rewards, blocks = _query_blocks(model, drawn, n_per, rng)
     estimates = blocks.mean(axis=1)
     winner = int(drawn[int(np.argmax(estimates))])
     return Transcript(
         learner_name="empirical-mean",
         seed=seed,
-        arms=arms_log,
+        runs=drawn,
+        run_lengths=n_per,
         rewards=rewards,
         output_arm=winner,
         meta={"gamma": cert.value, "m": m, "per_arm": n_per},
@@ -220,13 +222,14 @@ def run_median_of_means_learner(
 
     rng = np.random.default_rng(seed)
     drawn = p_star.sample(rng, m)
-    arms_log, rewards, blocks = _query_blocks(model, drawn, n_per, rng)
+    rewards, blocks = _query_blocks(model, drawn, n_per, rng)
     estimates = row_medians_of_means(blocks, mom_cfg)
     winner = int(drawn[int(np.argmax(estimates))])
     return Transcript(
         learner_name="median-of-means",
         seed=seed,
-        arms=arms_log,
+        runs=drawn,
+        run_lengths=n_per,
         rewards=rewards,
         output_arm=winner,
         meta={"gamma": cert.value, "m": m, "per_arm": n_per, "groups": groups},
@@ -298,7 +301,8 @@ def run_tree_descent(
     return Transcript(
         learner_name="tree-descent",
         seed=seed,
-        arms=np.repeat(np.array(arms, dtype=np.int64), counts),
+        runs=np.array(arms, dtype=np.int64),
+        run_lengths=np.array(counts, dtype=np.int64),
         rewards=np.concatenate(rewards_chunks),
         output_arm=winner,
         meta={"leaf": leaf, "per_node": n_node, "per_leaf_arm": n_leaf},
@@ -328,19 +332,18 @@ def run_non_adaptive_uniform(
     n_arms = fclass.n_arms
     # the whole schedule is committed here, before the first reward
     positions = rng.integers(0, n_arms, size=budget)
-    arms_log = np.repeat(positions, reps_per_arm)
     rewards = sample_rewards(model, positions, reps_per_arm, rng)
 
-    sums = np.zeros(n_arms)
-    counts = np.zeros(n_arms)
-    np.add.at(sums, arms_log, rewards)
-    np.add.at(counts, arms_log, 1.0)
+    # bincount adds each arm's rewards in query order, as a sequential loop would
+    sums = np.bincount(np.repeat(positions, reps_per_arm), weights=rewards, minlength=n_arms)
+    counts = np.bincount(positions, minlength=n_arms) * float(reps_per_arm)
     pooled = np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)
     winner = int(np.argmax(pooled))
     return Transcript(
         learner_name="non-adaptive-uniform",
         seed=seed,
-        arms=arms_log,
+        runs=positions,
+        run_lengths=reps_per_arm,
         rewards=rewards,
         output_arm=winner,
         meta={"budget": budget, "reps_per_arm": reps_per_arm},
@@ -612,7 +615,7 @@ def run_e2d(
         return Transcript(
             learner_name="e2d",
             seed=seed,
-            arms=np.concatenate(arms_chunks),
+            runs=np.concatenate(arms_chunks),
             rewards=np.concatenate(rewards_chunks),
             output_arm=int(np.argmax(fhat_at[chosen])),
             meta=meta,
@@ -621,17 +624,17 @@ def run_e2d(
     m = math.ceil(math.log(2.0 / params.delta) / eff_gamma)
     n_per = chernoff_sample_count(params.alpha, params.delta, m)
     drawn = ArmDistribution(p_hat).sample(rng, m)
-    final_arms, final_rewards, blocks = _query_blocks(model, drawn, n_per, rng)
+    final_rewards, blocks = _query_blocks(model, drawn, n_per, rng)
     estimates = blocks.mean(axis=1)
     winner = int(drawn[int(np.argmax(estimates))])
-    arms_chunks.append(final_arms)
+    arms_chunks.append(np.repeat(drawn, n_per))
     rewards_chunks.append(final_rewards)
     meta.update({"m": m, "per_arm": n_per})
 
     return Transcript(
         learner_name="e2d",
         seed=seed,
-        arms=np.concatenate(arms_chunks),
+        runs=np.concatenate(arms_chunks),
         rewards=np.concatenate(rewards_chunks),
         output_arm=winner,
         meta=meta,

@@ -1,6 +1,6 @@
 import ast
 import json
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -346,23 +346,48 @@ def test_transcript_accounting():
     t = Transcript(
         learner_name="x",
         seed=1,
-        arms=np.array([0, 1, 1], dtype=np.int64),
+        runs=np.array([0, 1], dtype=np.int64),
+        run_lengths=np.array([1, 2], dtype=np.int64),
         rewards=np.array([0.0, 1.0, 0.5]),
         output_arm=1,
     )
     assert t.total_queries == 3
+    assert "arms" not in vars(t)  # counting reads the rewards, not the arm log
+    np.testing.assert_array_equal(t.arms, [0, 1, 1])
 
 
 def test_transcript_freezes_arrays_in_place():
-    arms = np.array([0, 1, 1], dtype=np.int64)
+    runs = np.array([0, 1, 1], dtype=np.int64)
     rewards = np.array([0.0, 1.0, 0.5])
-    t = Transcript(learner_name="x", seed=0, arms=arms, rewards=rewards, output_arm=1)
-    assert t.arms is arms and t.rewards is rewards
-    assert not arms.flags.writeable and not rewards.flags.writeable
+    t = Transcript(learner_name="x", seed=0, runs=runs, rewards=rewards, output_arm=1)
+    assert t.runs is runs and t.rewards is rewards and t.arms is runs
+    assert not runs.flags.writeable and not rewards.flags.writeable
+    lengths = np.array([2, 1, 1], dtype=np.int64)
+    t = Transcript(learner_name="x", seed=0, runs=runs, run_lengths=lengths,
+                   rewards=np.zeros(4), output_arm=1)
+    assert t.run_lengths is lengths and not lengths.flags.writeable
     # lists and other dtypes are converted
-    t = Transcript(learner_name="x", seed=0, arms=[0, 2], rewards=[1, 0], output_arm=0)
-    assert t.arms.dtype == np.int64 and t.rewards.dtype == np.float64
+    t = Transcript(learner_name="x", seed=0, runs=[0, 2], rewards=[1, 0], output_arm=0)
+    assert t.runs.dtype == np.int64 and t.rewards.dtype == np.float64
+    assert not t.runs.flags.writeable
+    t = Transcript(learner_name="x", seed=0, runs=[0, 2], run_lengths=[1, 1],
+                   rewards=[1, 0], output_arm=0)
+    assert t.run_lengths.dtype == np.int64
+
+
+@pytest.mark.parametrize("run_lengths", [3, np.array([2, 1, 4], dtype=np.int64)],
+                         ids=["scalar", "array"])
+def test_transcript_expands_runs_on_first_read(run_lengths):
+    runs = np.array([2, 0, 5], dtype=np.int64)
+    want = np.repeat(runs, run_lengths)
+    t = Transcript(learner_name="x", seed=0, runs=runs, run_lengths=run_lengths,
+                   rewards=np.zeros(want.size), output_arm=0)
+    assert t.total_queries == want.size and "arms" not in vars(t)
+    assert t.arms.dtype == np.int64 and t.arms.tobytes() == want.tobytes()
     assert not t.arms.flags.writeable
+    assert t.arms is t.arms  # expanded once, then cached
+    with pytest.raises(FrozenInstanceError):
+        t.runs = runs
 
 
 def test_function_class_and_arm_distribution_copy_their_input():
@@ -377,14 +402,34 @@ def test_function_class_and_arm_distribution_copy_their_input():
 
 
 def test_transcript_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        Transcript(
-            learner_name="x",
-            seed=0,
-            arms=np.array([0, 1], dtype=np.int64),
-            rewards=np.array([0.0]),
-            output_arm=0,
-        )
+    for run_lengths, rewards in [(1, [0.0]), ([1, 2], [0.0, 1.0])]:
+        with pytest.raises(ValueError, match="sum to the reward count"):
+            Transcript(
+                learner_name="x",
+                seed=0,
+                runs=np.array([0, 1], dtype=np.int64),
+                run_lengths=run_lengths,
+                rewards=np.array(rewards),
+                output_arm=0,
+            )
+
+
+@pytest.mark.parametrize(
+    "runs, run_lengths, output_arm, message",
+    [
+        ([0, 1], 0, 0, "lengths must be >= 1"),
+        ([0, 1], [2, 0], 0, "lengths must be >= 1"),
+        ([0, 1], [1, 1, 0], 0, "one length per run"),
+        ([0, 1], [[1, 1]], 0, "one length per run"),
+        ([[0, 1]], 1, 0, "must be 1-D"),
+        ([0, -1], 1, 0, "valid indices"),
+        ([0, 1], 1, -1, "valid index"),
+    ],
+)
+def test_transcript_rejects_invalid_runs(runs, run_lengths, output_arm, message):
+    with pytest.raises(ValueError, match=message):
+        Transcript(learner_name="x", seed=0, runs=np.array(runs, dtype=np.int64),
+                   run_lengths=run_lengths, rewards=np.zeros(2), output_arm=output_arm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from maximin_bandits.estimators import (
     mom_groups,
     row_medians_of_means,
 )
+from maximin_bandits.games import gamma
 from maximin_bandits.learners import (
     ORACLE_BLOCK,
     LearnerParams,
@@ -147,6 +149,25 @@ def test_empirical_mean_ties_break_to_least_draw_index():
     block_means = t.rewards.reshape(-1, per_arm).mean(axis=1)
     best = int(np.argmax(block_means))
     assert t.output_arm == t.arms[best * per_arm]
+
+
+def test_empirical_mean_trial_allocates_no_arm_log():
+    # The arm log stays as (arm, run length) pairs, so a trial's peak
+    # allocation is about its reward log: 192 draws x 1,790 queries here.
+    fclass, _ = make_tree_class(6, 1)
+    params = LearnerParams(alpha=0.2, delta=0.1)
+    cert = gamma(fclass, params.alpha / 2.0)
+    model = Model(fclass, 0, NoiseSpec.bernoulli())
+    # a first trial imports numpy.random if nothing has yet; measure the second
+    run_empirical_mean_learner(fclass, params, model, seed=0, cert=cert)
+    tracemalloc.start()
+    try:
+        t = run_empirical_mean_learner(fclass, params, model, seed=0, cert=cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (t.meta["m"], t.meta["per_arm"]) == (192, 1790)
+    assert peak < 1.1 * t.rewards.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,16 @@ rebinding them at the module attribute their callers look up, and it reads
 each original with ``owner.__dict__[attr]``.  Deleting or renaming one of
 those names breaks ``perfbench/run.py --trace 1``; this test notices first.
 The tracer is only imported and used here, never changed.
+
+Its hooks also read what the wrapped calls return: the transcript hook reads
+``arms`` and ``rewards`` of every :class:`Transcript` a learner builds, through
+the name ``learners.Transcript``, which it replaces with a plain function.  A
+traced ``run`` of each learner checks that this still works.
 """
 
+import csv
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -47,3 +54,38 @@ def test_traced_adaptivity_run_enters_and_exits_cleanly(tracing, capsys):
     assert tracer.counts["games.solve.calls"] == 1
     assert tracer.counts["learners.tree-descent.calls"] == 3
     assert tracer.counts["learners.non-adaptive-uniform.calls"] == 3
+
+
+#: learner -> (noise, params) of a small traced run on the depth-2 tree class
+TRACED_RUNS = {
+    "empirical-mean": ({"kind": "bernoulli"}, {"alpha": 0.2, "delta": 0.1}),
+    "median-of-means": ({"kind": "heavy-tail", "sigma": 0.3},
+                        {"alpha": 0.2, "delta": 0.1, "sigma": 0.3}),
+    "tree-descent": ({"kind": "bernoulli"}, {"alpha": 0.2, "delta": 0.1}),
+    "e2d": ({"kind": "bernoulli"}, {"alpha": 0.2, "delta": 0.2, "horizon": 400}),
+}
+
+
+@pytest.mark.parametrize("learner", TRACED_RUNS)
+def test_traced_run_counts_every_transcript(tracing, capsys, tmp_path, learner):
+    from maximin_bandits.cli import main
+
+    noise, params = TRACED_RUNS[learner]
+    trials = 3
+    out = tmp_path / "records.csv"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "class": {"constructor": "tree", "depth": 2, "bucket_size": 1},
+        "noise": noise, "learner": learner, "params": params,
+        "trials": trials, "seed": 0, "out": str(out),
+    }))
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    with out.open() as fh:
+        queries = [int(row["queries"]) for row in csv.DictReader(fh)]
+    assert len(queries) == trials
+    assert tracer.counts["core.transcript.calls"] == trials
+    # one int64 arm and one float64 reward per query
+    assert tracer.counts["core.transcript.bytes"] == 16 * sum(queries)
