@@ -10,10 +10,9 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 
-from maximin_bandits.harness import adaptivity_experiment
+from maximin_bandits.harness import adaptivity_experiment, csv_text
 
 COLUMNS = (
     "depth",
@@ -36,30 +35,30 @@ def main(argv=None):
     parser.add_argument("--out", default="adaptivity_curves.csv")
     args = parser.parse_args(argv)
 
+    table = []
+    for depth in args.depths:
+        report = adaptivity_experiment(depth, args.trials, args.seed)
+        table.append(
+            {
+                "depth": depth,
+                "gamma": repr(report.gamma_value),
+                "non_adaptive_budget": report.non_adaptive_budget,
+                "trials": args.trials,
+                "adaptive_success": repr(report.adaptive_success_rate),
+                "adaptive_mean_queries": repr(report.adaptive_mean_queries),
+                "non_adaptive_failure": repr(report.non_adaptive_failure_rate),
+                "slack": repr(report.slack),
+                "separation_holds": str(report.separation_holds).lower(),
+            }
+        )
+        print(
+            f"d={depth}: adaptive {report.adaptive_success_rate:.3f} success "
+            f"({report.adaptive_mean_queries:.0f} queries), "
+            f"non-adaptive failure {report.non_adaptive_failure_rate:.3f} "
+            f"at budget {report.non_adaptive_budget}"
+        )
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for depth in args.depths:
-            report = adaptivity_experiment(depth, args.trials, args.seed)
-            writer.writerow(
-                {
-                    "depth": depth,
-                    "gamma": repr(report.gamma_value),
-                    "non_adaptive_budget": report.non_adaptive_budget,
-                    "trials": args.trials,
-                    "adaptive_success": repr(report.adaptive_success_rate),
-                    "adaptive_mean_queries": repr(report.adaptive_mean_queries),
-                    "non_adaptive_failure": repr(report.non_adaptive_failure_rate),
-                    "slack": repr(report.slack),
-                    "separation_holds": str(report.separation_holds).lower(),
-                }
-            )
-            print(
-                f"d={depth}: adaptive {report.adaptive_success_rate:.3f} success "
-                f"({report.adaptive_mean_queries:.0f} queries), "
-                f"non-adaptive failure {report.non_adaptive_failure_rate:.3f} "
-                f"at budget {report.non_adaptive_budget}"
-            )
+        fh.write(csv_text(COLUMNS, table))
     print(f"wrote {args.out}")
     return 0
 

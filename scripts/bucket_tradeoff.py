@@ -12,11 +12,10 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 
 from maximin_bandits.core import NoiseSpec, trial_seed
-from maximin_bandits.harness import ExperimentConfig, monte_carlo
+from maximin_bandits.harness import ExperimentConfig, csv_text, monte_carlo
 from maximin_bandits.learners import LearnerParams
 
 # 2^depth * bucket_size == 16 in every cell
@@ -43,41 +42,41 @@ def main(argv=None):
     parser.add_argument("--out", default="bucket_tradeoff.csv")
     args = parser.parse_args(argv)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for idx, (depth, buckets) in enumerate(CELLS):
-            class_spec = {
-                "constructor": "tree",
+    table = []
+    for idx, (depth, buckets) in enumerate(CELLS):
+        class_spec = {
+            "constructor": "tree",
+            "depth": depth,
+            "bucket_size": buckets,
+        }
+        config = ExperimentConfig(
+            class_spec=class_spec,
+            noise=NoiseSpec("bernoulli"),
+            learner="tree-descent",
+            params=LearnerParams(alpha=args.alpha, delta=args.delta),
+            trials=args.trials,
+            seed=trial_seed(args.seed, idx),
+            experiment_id=f"bucket-tradeoff-d{depth}-N{buckets}",
+        )
+        result = monte_carlo(config)
+        table.append(
+            {
                 "depth": depth,
                 "bucket_size": buckets,
+                "leaf_arms": (2**depth) * buckets,
+                "gamma": repr(result.gamma_value),
+                "trials": args.trials,
+                "success_rate": repr(result.success_rate),
+                "mean_queries": repr(result.mean_queries),
+                "half_width_99": repr(result.half_width99),
             }
-            config = ExperimentConfig(
-                class_spec=class_spec,
-                noise=NoiseSpec("bernoulli"),
-                learner="tree-descent",
-                params=LearnerParams(alpha=args.alpha, delta=args.delta),
-                trials=args.trials,
-                seed=trial_seed(args.seed, idx),
-                experiment_id=f"bucket-tradeoff-d{depth}-N{buckets}",
-            )
-            result = monte_carlo(config)
-            writer.writerow(
-                {
-                    "depth": depth,
-                    "bucket_size": buckets,
-                    "leaf_arms": (2**depth) * buckets,
-                    "gamma": repr(result.gamma_value),
-                    "trials": args.trials,
-                    "success_rate": repr(result.success_rate),
-                    "mean_queries": repr(result.mean_queries),
-                    "half_width_99": repr(result.half_width99),
-                }
-            )
-            print(
-                f"d={depth} N={buckets}: success {result.success_rate:.3f}, "
-                f"mean queries {result.mean_queries:.0f}"
-            )
+        )
+        print(
+            f"d={depth} N={buckets}: success {result.success_rate:.3f}, "
+            f"mean queries {result.mean_queries:.0f}"
+        )
+    with open(args.out, "w", newline="") as fh:
+        fh.write(csv_text(COLUMNS, table))
     print(f"wrote {args.out}")
     return 0
 

@@ -10,7 +10,6 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 import time
 
@@ -21,6 +20,7 @@ from maximin_bandits.environments import (
     make_tree_class,
 )
 from maximin_bandits.games import gamma
+from maximin_bandits.harness import csv_text
 
 ALPHAS = (0.1, 0.2, 0.3, 0.5)
 
@@ -87,14 +87,10 @@ def main(argv=None):
     parser.add_argument("--out", default="gamma_gallery.csv", help="output CSV path")
     args = parser.parse_args(argv)
 
+    table = list(rows())
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        count = 0
-        for row in rows():
-            writer.writerow(row)
-            count += 1
-    print(f"wrote {count} rows to {args.out}")
+        fh.write(csv_text(COLUMNS, table))
+    print(f"wrote {len(table)} rows to {args.out}")
     return 0
 
 

@@ -35,7 +35,6 @@ from .environments import (
     tv_distance,
 )
 from .estimators import (
-    MoMConfig,
     chernoff_sample_count,
     median_of_means,
     median_of_means_sample_count,
@@ -99,7 +98,6 @@ __all__ = [
     "make_singletons",
     "make_tree_class",
     "tv_distance",
-    "MoMConfig",
     "chernoff_sample_count",
     "median_of_means",
     "median_of_means_sample_count",

@@ -51,10 +51,19 @@ LEFT_VALUE = 1.0 / 3.0
 RIGHT_VALUE = 2.0 / 3.0
 
 
+def _check_function_cap(family: str, n_functions: int) -> None:
+    """Refuse a class over the function cap before allocating its means."""
+    if n_functions > MAX_TREE_FUNCTIONS:
+        raise CapacityError(
+            f"{family} with {n_functions} functions exceeds the cap {MAX_TREE_FUNCTIONS}"
+        )
+
+
 def make_k_armed(k: int) -> FunctionClass:
     """K arms, K indicator functions; function i rewards only arm i."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_function_cap("k-armed class", k)
     return FunctionClass(np.eye(k), labels={"family": "k-armed", "k": k})
 
 
@@ -68,6 +77,7 @@ def make_singletons(n: int) -> FunctionClass:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_function_cap("singleton class", n)
     return FunctionClass(np.eye(n), labels={"family": "singletons-truncated", "n": n})
 
 
@@ -157,10 +167,7 @@ def make_tree_class(depth: int, bucket_size: int) -> tuple[FunctionClass, TreeMe
     1 / (leaf_count * bucket_size).
     """
     meta = TreeMeta(depth=depth, bucket_size=bucket_size)
-    if meta.n_functions > MAX_TREE_FUNCTIONS:
-        raise CapacityError(
-            f"tree with {meta.n_functions} functions exceeds the cap {MAX_TREE_FUNCTIONS}"
-        )
+    _check_function_cap("tree", meta.n_functions)
     means = np.zeros((meta.n_functions, meta.n_arms))
     for leaf in range(meta.leaf_count):
         bits = meta.path_to_leaf(leaf)
@@ -174,10 +181,7 @@ def make_tree_class(depth: int, bucket_size: int) -> tuple[FunctionClass, TreeMe
     return FunctionClass(means, labels=labels), meta
 
 
-def _circle_net(alpha: float) -> np.ndarray:
-    # n equally spaced angles cover the circle with chordal radius
-    # 2 sin(pi / (2n)); pick the smallest n making that <= alpha / 2.
-    n = max(3, math.ceil(math.pi / (2.0 * math.asin(min(alpha / 4.0, 1.0)))))
+def _circle_net(n: int) -> np.ndarray:
     angles = 2.0 * math.pi * np.arange(n) / n
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
@@ -205,17 +209,18 @@ def make_linear_net_class(dimension: int, alpha: float) -> FunctionClass:
         raise ValueError("alpha must lie in (0, 1)")
     if dimension == 1:
         net = np.array([[-1.0], [1.0]])
-    elif dimension == 2:
-        net = _circle_net(alpha)
     else:
-        # Fibonacci grids empirically cover with chordal radius < 3.5/sqrt(n);
-        # sizing n = (7/alpha)^2 keeps that under alpha/2 with margin.
-        n = math.ceil((7.0 / alpha) ** 2)
+        if dimension == 2:
+            # n equally spaced angles cover the circle with chordal radius
+            # 2 sin(pi / (2n)); pick the smallest n making that <= alpha / 2.
+            n = max(3, math.ceil(math.pi / (2.0 * math.asin(min(alpha / 4.0, 1.0)))))
+        else:
+            # Fibonacci grids empirically cover with chordal radius < 3.5/sqrt(n);
+            # sizing n = (7/alpha)^2 keeps that under alpha/2 with margin.
+            n = math.ceil((7.0 / alpha) ** 2)
         if n > MAX_NET_POINTS:
             raise CapacityError(f"net of {n} points exceeds the cap {MAX_NET_POINTS}")
-        net = _fibonacci_sphere(n)
-    if net.shape[0] > MAX_NET_POINTS:
-        raise CapacityError("net exceeds the configured point cap")
+        net = _circle_net(n) if dimension == 2 else _fibonacci_sphere(n)
     means = np.clip((net @ net.T + 1.0) / 2.0, 0.0, 1.0)
     labels = {
         "family": "linear-net",

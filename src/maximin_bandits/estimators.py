@@ -8,12 +8,9 @@ are merely variance-bounded.  Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "MoMConfig",
     "chernoff_sample_count",
     "median_of_means_sample_count",
     "mom_groups",
@@ -23,17 +20,6 @@ __all__ = [
 
 #: The constant c_m of the median-of-means per-arm sample count.
 DEFAULT_CM = 4.0
-
-
-@dataclass(frozen=True)
-class MoMConfig:
-    """Median-of-means configuration: the group count."""
-
-    groups: int
-
-    def __post_init__(self):
-        if self.groups < 1:
-            raise ValueError("group count must be >= 1")
 
 
 def chernoff_sample_count(alpha: float, delta: float, m: int) -> int:
@@ -71,31 +57,32 @@ def mom_groups(delta: float) -> int:
     return max(1, math.ceil(math.log(2.0 / delta)))
 
 
-def median_of_means(samples, config: MoMConfig) -> float:
-    """Median of K consecutive group means.
+def median_of_means(samples, groups: int) -> float:
+    """Median of K = ``groups`` consecutive group means.
 
-    The input is split into ``config.groups`` consecutive groups of
-    floor(n / K) samples; the remainder at the tail is dropped.  For even K
-    the lower median is returned.  The estimate always lies within
+    The input is split into K consecutive groups of floor(n / K) samples;
+    the remainder at the tail is dropped.  For even K the lower median is
+    returned.  The estimate always lies within
     [min(samples), max(samples)].
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1:
         raise ValueError("samples must be a 1-D sequence")
-    return float(row_medians_of_means(arr[np.newaxis], config)[0])
+    return float(row_medians_of_means(arr[np.newaxis], groups)[0])
 
 
-def row_medians_of_means(blocks, config: MoMConfig) -> np.ndarray:
+def row_medians_of_means(blocks, groups: int) -> np.ndarray:
     """:func:`median_of_means` of every row of a 2-D array, in one pass.
 
-    Entry i equals ``median_of_means(blocks[i], config)`` bit for bit.
+    Entry i equals ``median_of_means(blocks[i], groups)`` bit for bit.
     """
     arr = np.asarray(blocks, dtype=float)
     if arr.ndim != 2:
         raise ValueError("blocks must be a 2-D array")
-    k = config.groups
-    if arr.shape[1] < k:
-        raise ValueError(f"need at least {k} samples for {k} groups")
-    group_size = arr.shape[1] // k
-    groups = arr[:, : group_size * k].reshape(arr.shape[0], k, group_size)
-    return np.sort(groups.mean(axis=2), axis=1)[:, (k - 1) // 2]
+    if groups < 1:
+        raise ValueError("group count must be >= 1")
+    if arr.shape[1] < groups:
+        raise ValueError(f"need at least {groups} samples for {groups} groups")
+    size = arr.shape[1] // groups
+    split = arr[:, : size * groups].reshape(arr.shape[0], groups, size)
+    return np.sort(split.mean(axis=2), axis=1)[:, (groups - 1) // 2]

@@ -45,7 +45,6 @@ from .core import (
 from .dec import _dec_search, dec_at, version_set
 from .environments import TreeMeta
 from .estimators import (
-    MoMConfig,
     chernoff_sample_count,
     median_of_means,  # noqa: F401  (perfbench counts calls made through this name)
     median_of_means_sample_count,
@@ -122,32 +121,29 @@ def _check_model(fclass: FunctionClass, model: Model) -> None:
         raise ValueError("model was built from a different function class")
 
 
-def _witness_sampling_phase(
-    fclass: FunctionClass,
-    params: LearnerParams,
-    cert: games.GammaCertificate | None,
-) -> tuple[games.GammaCertificate, np.ndarray, int]:
-    """Shared setup of the coverage-sampling learners: certificate and m."""
-    if cert is None:
-        cert = games.gamma(fclass, params.alpha / 2.0)
-    if cert.value <= 0.0:
+def _draw_count(gamma: float, delta: float) -> int:
+    """Witness draws m = ceil(ln(2/delta) / gamma) of a coverage-sampling phase."""
+    if gamma <= 0.0:
         raise UnlearnableInstanceError(
             "coverage value is zero at alpha/2; no query budget can help"
         )
-    m = math.ceil(math.log(2.0 / params.delta) / cert.value)
-    return cert, cert.p_star, m
+    return math.ceil(math.log(2.0 / delta) / gamma)
 
 
-def _query_blocks(model: Model, arms, n_per: int, rng: np.random.Generator):
-    """Query each listed arm ``n_per`` times consecutively, in one draw.
+def _coverage_sampling(model: Model, p: ArmDistribution, m: int, n_per: int,
+                       rng: np.random.Generator, estimate):
+    """Draw m arms from ``p``, query each ``n_per`` times, keep the best.
 
-    Returns the flat reward log and the rewards viewed as one ``n_per``-long
-    block per listed arm.  It builds no arm log: the listed arms are the
-    log's runs, each ``n_per`` long, which is how :class:`Transcript` keeps it.
+    The queries come from one reward draw, each drawn arm's ``n_per`` in a
+    row.  ``estimate`` maps the (m, n_per) reward blocks to one estimate per
+    block.  Returns the drawn arms (the log's runs, each ``n_per`` long), the
+    flat reward log, and the drawn arm with the best estimate (least draw
+    index on ties).
     """
-    arms = np.asarray(arms, dtype=np.int64)
-    rewards = sample_rewards(model, arms, n_per, rng)
-    return rewards, rewards.reshape(arms.size, n_per)
+    drawn = p.sample(rng, m)
+    rewards = sample_rewards(model, drawn, n_per, rng)
+    estimates = estimate(rewards.reshape(m, n_per))
+    return drawn, rewards, int(drawn[int(np.argmax(estimates))])
 
 
 def run_empirical_mean_learner(
@@ -169,14 +165,12 @@ def run_empirical_mean_learner(
     _check_model(fclass, model)
     if not model.noise.bounded:
         raise ValueError("empirical-mean learner requires rewards bounded in [0, 1]")
-    cert, p_star, m = _witness_sampling_phase(fclass, params, cert)
+    if cert is None:
+        cert = games.gamma(fclass, params.alpha / 2.0)
+    m = _draw_count(cert.value, params.delta)
     n_per = chernoff_sample_count(params.alpha, params.delta, m)
-
-    rng = np.random.default_rng(seed)
-    drawn = p_star.sample(rng, m)
-    rewards, blocks = _query_blocks(model, drawn, n_per, rng)
-    estimates = blocks.mean(axis=1)
-    winner = int(drawn[int(np.argmax(estimates))])
+    drawn, rewards, winner = _coverage_sampling(
+        model, cert.p_star, m, n_per, np.random.default_rng(seed), partial(np.mean, axis=1))
     return Transcript(
         learner_name="empirical-mean",
         seed=seed,
@@ -210,7 +204,9 @@ def run_median_of_means_learner(
     if worst_var > params.sigma**2 + 1e-12:
         raise ValueError("model reward variance exceeds the declared sigma^2")
 
-    cert, p_star, m = _witness_sampling_phase(fclass, params, cert)
+    if cert is None:
+        cert = games.gamma(fclass, params.alpha / 2.0)
+    m = _draw_count(cert.value, params.delta)
     n_per = median_of_means_sample_count(params.alpha, params.delta, m, params.sigma)
     groups = mom_groups(params.delta)
     if n_per < groups:
@@ -218,13 +214,9 @@ def run_median_of_means_learner(
             "per-arm budget smaller than the group count; sigma is too small "
             "for this alpha/delta"
         )
-    mom_cfg = MoMConfig(groups=groups)
-
-    rng = np.random.default_rng(seed)
-    drawn = p_star.sample(rng, m)
-    rewards, blocks = _query_blocks(model, drawn, n_per, rng)
-    estimates = row_medians_of_means(blocks, mom_cfg)
-    winner = int(drawn[int(np.argmax(estimates))])
+    drawn, rewards, winner = _coverage_sampling(
+        model, cert.p_star, m, n_per, np.random.default_rng(seed),
+        partial(row_medians_of_means, groups=groups))
     return Transcript(
         learner_name="median-of-means",
         seed=seed,
@@ -439,9 +431,9 @@ def est_bound(n_functions: int, delta: float) -> float:
 
 
 def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
-    """e2d's J exploration rounds: their arms and rewards, and each round's
-    search, or None when ``fixed`` (the one search of eps_bar >= 1) serves
-    every round.
+    """e2d's J exploration rounds: their arms and rewards, and the list of
+    each round's search (``fixed``, the one search of eps_bar >= 1, repeated
+    when it serves every round).
 
     A round draws its arm, then its reward, on ``rng``.  Where the search is
     fixed and the noise reads one ``rng.random`` double per reward
@@ -461,7 +453,7 @@ def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
         rewards = model.true_means[arms]
         if kind != "deterministic":
             rewards = _rewards_from_uniforms(model.noise, rewards, u[:, 1])
-        return arms, rewards, None
+        return arms, rewards, [fixed] * J
 
     oracle = OnlineRegressionOracle(fclass)
     if fixed is None:  # one search, and one inner-game cache, for every round
@@ -470,18 +462,15 @@ def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
     arms = np.empty(J, dtype=np.int64)
     rewards = np.empty(J)
     for t in range(J):
-        if fixed is None:
-            res = search(oracle.weights)
-            searches.append(res)
-        else:
-            res = fixed
+        res = search(oracle.weights) if fixed is None else fixed
+        searches.append(res)
         arm = res.q_witness.sample(rng)
         reward = float(sample_rewards(model, arm, 1, rng)[0])
         arms[t] = arm
         rewards[t] = reward
         if fixed is None:
             oracle.update(arm, reward)
-    return arms, rewards, searches if fixed is None else None
+    return arms, rewards, searches
 
 
 def run_e2d(
@@ -499,18 +488,21 @@ def run_e2d(
        minimizing the worst in-set probability of exceeding the alpha/2 gap;
        one arm is drawn from q_t and fed back to the oracle.  The oracle is
        stepped only where the search needs its weights (eps_bar < 1); with
-       eps_bar >= 1 one search serves every round.
+       eps_bar >= 1 one search serves every round, and the list of round
+       searches holds it J times.
     2. Exploitation (L branches of J fresh draws each): L exploration rounds
        are sampled uniformly; each branch replays its q with a fresh oracle
        and averages the predictions; the branch whose average best matches
        its exploration anchor (in q-weighted squared error) is selected.
     3. Coverage sampling: the selected round's p becomes the witness; its
        in-set worst-case coverage gives the effective gamma; then the
-       empirical-mean final phase runs with m = ceil(ln(2/delta) / gamma).
+       empirical-mean learner's coverage-sampling step runs on p with
+       m = ceil(ln(2/delta) / gamma).
 
-    A non-positive effective gamma aborts the final phase and records the
-    ``dec-too-large`` error tag in the transcript instead of failing silently.
-    No positive-coverage precondition is required up front.
+    A non-positive effective gamma skips the final phase and records the
+    ``dec-too-large`` error tag in the transcript instead of failing silently;
+    the output is then the best arm of the chosen round's mixture.  No
+    positive-coverage precondition is required up front.
 
     Exploration draws arm and reward alternately on one generator.  With
     eps_bar >= 1 and noise that reads one uniform per reward or none (all
@@ -549,7 +541,6 @@ def run_e2d(
 
     explore_arms, explore_rewards, searches = _explore(
         fclass, model, fixed, eps_bar, half_alpha, J, rng)
-    search_at = (lambda t: fixed) if searches is None else searches.__getitem__
     arms_chunks.append(explore_arms)
     rewards_chunks.append(explore_rewards)
     picked_rounds = rng.integers(0, J, size=L)
@@ -563,10 +554,7 @@ def run_e2d(
     for w in oracle_weights(fclass.means, explore_arms, explore_rewards):
         stop = start + len(w)
         fhat = _row_products(w, fclass.means)
-        if searches is None:
-            q = np.broadcast_to(fixed.q_witness.probs, (stop - start, fclass.n_arms))
-        else:
-            q = np.stack([search.q_witness.probs for search in searches[start:stop]])
+        q = np.array([search.q_witness.probs for search in searches[start:stop]])
         sq_error = (true_means - fhat) ** 2
         est_error = _running_sum(est_error, _row_products(sq_error, q[:, :, None])[:, 0])
         for t in picked_rounds.tolist():
@@ -577,7 +565,7 @@ def run_e2d(
     scores = np.empty(L)
     for branch in range(L):
         t = int(picked_rounds[branch])
-        q = search_at(t).q_witness
+        q = searches[t].q_witness
         # the branch's arms are committed before its first reward
         branch_arms = q.sample(rng, J)
         branch_rewards = sample_rewards(model, branch_arms, 1, rng)
@@ -591,8 +579,8 @@ def run_e2d(
 
     best_branch = int(np.argmin(scores))
     chosen = int(picked_rounds[best_branch])
-    p_hat = search_at(chosen).p_witness.probs
-    q_hat = search_at(chosen).q_witness
+    p_hat = searches[chosen].p_witness.probs
+    q_hat = searches[chosen].q_witness
     versions = version_set(fclass, weights_at[chosen], q_hat, eps_bar)
     if versions.is_empty:
         eff_gamma = 1.0
@@ -612,24 +600,15 @@ def run_e2d(
 
     if eff_gamma <= 0.0:
         meta["error"] = "dec-too-large"
-        return Transcript(
-            learner_name="e2d",
-            seed=seed,
-            runs=np.concatenate(arms_chunks),
-            rewards=np.concatenate(rewards_chunks),
-            output_arm=int(np.argmax(fhat_at[chosen])),
-            meta=meta,
-        )
-
-    m = math.ceil(math.log(2.0 / params.delta) / eff_gamma)
-    n_per = chernoff_sample_count(params.alpha, params.delta, m)
-    drawn = ArmDistribution(p_hat).sample(rng, m)
-    final_rewards, blocks = _query_blocks(model, drawn, n_per, rng)
-    estimates = blocks.mean(axis=1)
-    winner = int(drawn[int(np.argmax(estimates))])
-    arms_chunks.append(np.repeat(drawn, n_per))
-    rewards_chunks.append(final_rewards)
-    meta.update({"m": m, "per_arm": n_per})
+        winner = int(np.argmax(fhat_at[chosen]))
+    else:
+        m = _draw_count(eff_gamma, params.delta)
+        n_per = chernoff_sample_count(params.alpha, params.delta, m)
+        drawn, final_rewards, winner = _coverage_sampling(
+            model, ArmDistribution(p_hat), m, n_per, rng, partial(np.mean, axis=1))
+        arms_chunks.append(np.repeat(drawn, n_per))
+        rewards_chunks.append(final_rewards)
+        meta.update({"m": m, "per_arm": n_per})
 
     return Transcript(
         learner_name="e2d",

@@ -29,7 +29,7 @@ from maximin_bandits.environments import (
     make_tree_class,
     tv_distance,
 )
-from maximin_bandits.estimators import MoMConfig, median_of_means, mom_groups
+from maximin_bandits.estimators import median_of_means, mom_groups
 from maximin_bandits.games import gamma, solve_maximin
 from maximin_bandits.harness import (
     ExperimentConfig,
@@ -249,7 +249,7 @@ def test_criterion_05_mom_tail_bound():
             for i in range(trials):
                 rng = np.random.default_rng(trial_seed(51001, i))
                 samples = sample_rewards(model, 0, n, rng)
-                est = median_of_means(samples, MoMConfig(groups=groups))
+                est = median_of_means(samples, groups)
                 exceed += abs(est - mu) > threshold
             rate = exceed / trials
             ok = ok and rate <= bound

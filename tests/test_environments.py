@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,23 @@ def test_singletons_matches_k_armed_matrix():
 def test_k_armed_rejects_bad_count():
     with pytest.raises(ValueError):
         make_k_armed(0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_k_armed(10**6),
+    lambda: make_singletons(10**6),
+    lambda: make_linear_net_class(2, 1e-12),
+], ids=["k-armed", "singletons", "circle-net"])
+def test_caps_refuse_before_allocating(build):
+    # each of these would need terabytes; the cap is checked on the count
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds the cap"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maximin_bandits.estimators import (
-    MoMConfig,
     chernoff_sample_count,
     median_of_means,
     median_of_means_sample_count,
     mom_groups,
+    row_medians_of_means,
 )
 
 
@@ -48,37 +48,39 @@ def test_mom_groups_values():
 
 def test_median_of_means_hand_example():
     samples = [0, 2, 0, 2, 100, 2, 0, 2, 0]
-    est = median_of_means(samples, MoMConfig(groups=3))
+    est = median_of_means(samples, 3)
     assert est == pytest.approx(2.0 / 3.0)
 
 
 def test_median_of_means_tail_discard():
     # 10 samples, 3 groups of 3; the last sample is dropped
     samples = [0.0] * 3 + [1.0] * 3 + [2.0] * 3 + [999.0]
-    est = median_of_means(samples, MoMConfig(groups=3))
+    est = median_of_means(samples, 3)
     assert est == pytest.approx(1.0)
 
 
 def test_median_of_means_lower_median_for_even_groups():
     samples = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
     # 4 groups of 2 -> group means [0, 1, 2, 3] -> lower median = 1
-    est = median_of_means(samples, MoMConfig(groups=4))
+    est = median_of_means(samples, 4)
     assert est == pytest.approx(1.0)
 
 
 def test_median_of_means_single_group_is_mean():
     samples = [1.0, 2.0, 6.0]
-    assert median_of_means(samples, MoMConfig(groups=1)) == pytest.approx(3.0)
+    assert median_of_means(samples, 1) == pytest.approx(3.0)
 
 
 def test_median_of_means_rejects_short_input():
     with pytest.raises(ValueError):
-        median_of_means([1.0, 2.0], MoMConfig(groups=3))
+        median_of_means([1.0, 2.0], 3)
 
 
 def test_mom_config_validation():
-    with pytest.raises(ValueError):
-        MoMConfig(groups=0)
+    with pytest.raises(ValueError, match="group count must be >= 1"):
+        median_of_means([1.0, 2.0], groups=0)
+    with pytest.raises(ValueError, match="group count must be >= 1"):
+        row_medians_of_means(np.zeros((2, 3)), groups=0)
 
 
 @given(
@@ -89,20 +91,19 @@ def test_mom_config_validation():
 def test_mom_output_within_sample_range(samples, groups):
     if len(samples) < groups:
         return
-    est = median_of_means(samples, MoMConfig(groups=groups))
+    est = median_of_means(samples, groups)
     assert min(samples) - 1e-9 <= est <= max(samples) + 1e-9
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=30))
 @settings(deadline=None)
 def test_mom_deterministic(samples):
-    cfg = MoMConfig(groups=3)
-    assert median_of_means(samples, cfg) == median_of_means(samples, cfg)
+    assert median_of_means(samples, 3) == median_of_means(samples, 3)
 
 
 def test_mom_matches_numpy_median_of_group_means_odd_k():
     rng = np.random.default_rng(0)
     samples = rng.random(21)
-    est = median_of_means(samples, MoMConfig(groups=3))
+    est = median_of_means(samples, 3)
     group_means = samples[:21].reshape(3, 7).mean(axis=1)
     assert est == pytest.approx(float(np.median(group_means)))

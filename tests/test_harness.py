@@ -353,6 +353,14 @@ def test_sweep_records_non_numeric_params_and_bad_true_function():
     assert "true_function 4 out of range" in errors[1]
 
 
+def test_sweep_records_a_class_over_the_cap():
+    cfg = tree_config(class_spec={"constructor": "k-armed", "k": 2}, learner="empirical-mean",
+                      trials=2, grid={"class.k": [2, 10**6]})
+    cells = sweep(cfg).cells
+    assert cells[0]["error"] == "" and cells[0]["success_rate"] == 1.0
+    assert "k-armed class with 1000000 functions exceeds the cap" in cells[1]["error"]
+
+
 def test_monte_carlo_rejects_out_of_range_true_function():
     for bad in (4, -1):
         with pytest.raises(ValueError, match="out of range"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -15,7 +16,6 @@ from maximin_bandits.core import (
 )
 from maximin_bandits.environments import make_k_armed, make_singletons, make_tree_class
 from maximin_bandits.estimators import (
-    MoMConfig,
     chernoff_sample_count,
     median_of_means,
     mom_groups,
@@ -226,9 +226,8 @@ def test_row_medians_equal_per_block_median_of_means(noise, groups, n_per):
     model = Model(FunctionClass(np.array([[0.1, 0.45, 0.9]])), 0, noise)
     arms = np.array([0, 2, 1, 1, 2, 0, 0], dtype=np.int64)
     blocks = sample_rewards(model, arms, n_per, np.random.default_rng(8)).reshape(-1, n_per)
-    cfg = MoMConfig(groups=groups)
-    batched = row_medians_of_means(blocks, cfg)
-    looped = np.array([median_of_means(block, cfg) for block in blocks])
+    batched = row_medians_of_means(blocks, groups)
+    looped = np.array([median_of_means(block, groups) for block in blocks])
     # the per-block formula median_of_means used before it was batched
     size = n_per // groups
     reference = np.array([
@@ -240,9 +239,9 @@ def test_row_medians_equal_per_block_median_of_means(noise, groups, n_per):
 
 def test_row_medians_of_means_rejects_short_rows():
     with pytest.raises(ValueError):
-        row_medians_of_means(np.zeros((2, 2)), MoMConfig(groups=3))
+        row_medians_of_means(np.zeros((2, 2)), 3)
     with pytest.raises(ValueError):
-        row_medians_of_means(np.zeros(6), MoMConfig(groups=3))
+        row_medians_of_means(np.zeros(6), 3)
 
 
 def test_mom_learner_heavy_tail_success():
@@ -482,6 +481,27 @@ def test_e2d_succeeds_under_deterministic_noise():
         model = Model(fclass, f, NoiseSpec.deterministic())
         t = run_e2d(fclass, params, model, seed=f)
         assert t.output_arm == meta.optimal_arm_of(f)
+
+
+def test_e2d_dec_too_large_skips_the_final_phase(monkeypatch):
+    # an all-zero gap matrix gives every in-set function zero coverage under
+    # the chosen p, so the run ends after exploitation with the error tag
+    from maximin_bandits import learners
+
+    monkeypatch.setattr(
+        learners, "gap_matrix",
+        lambda fclass, alpha: np.zeros((fclass.n_functions, fclass.n_arms), dtype=bool))
+    fclass, _ = make_tree_class(2, 1)
+    params = LearnerParams(alpha=0.2, delta=0.2, horizon=400)
+    t = run_e2d(fclass, params, Model(fclass, 1, NoiseSpec.bernoulli()), seed=3)
+    assert t.meta["error"] == "dec-too-large"
+    assert t.meta["effective_gamma"] == 0.0
+    assert t.total_queries == t.meta["J"] * (t.meta["L"] + 1) == 396
+    assert "m" not in t.meta and "per_arm" not in t.meta
+    digest = hashlib.sha256()
+    for part in (t.arms.tobytes(), t.rewards.tobytes(), repr(t.meta).encode()):
+        digest.update(part)
+    assert digest.hexdigest() == "35b65856061fa0ee4354cace2f8ff3d793016b4b935a07d6c7f5903c5831c43a"
 
 
 def test_e2d_searches_every_round_when_eps_bar_below_one(monkeypatch):
