@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 
+from maximin_bandits.core import CapacityError
 from maximin_bandits.environments import (
     make_k_armed,
     make_linear_net_class,
@@ -57,7 +58,10 @@ def rows():
         for alpha in ALPHAS:
             if name == "linear-net":
                 for dim in (1, 2, 3):
-                    net = make_linear_net_class(dim, alpha)
+                    try:
+                        net = make_linear_net_class(dim, alpha)
+                    except CapacityError:
+                        continue
                     if net.n_functions > MAX_NET_FUNCTIONS:
                         continue
                     yield from solve_row(f"linear-net-d{dim}", net, alpha)

@@ -22,6 +22,8 @@ import numpy as np
 
 __all__ = [
     "CapacityError",
+    "MAX_ENTRIES",
+    "check_entries",
     "PrecisionError",
     "config_number",
     "config_value",
@@ -54,7 +56,17 @@ _BOUNDED_KINDS = ("deterministic", "bernoulli", "two-point")
 
 
 class CapacityError(ValueError):
-    """A requested construction exceeds the configured size limits."""
+    """A requested array would hold more than ``MAX_ENTRIES`` entries."""
+
+
+#: The one size cap on any array sized by user input: 32 MiB of float64.
+MAX_ENTRIES = 1 << 22
+
+
+def check_entries(what: str, rows, cols) -> None:
+    """Call before allocating: CapacityError unless rows x cols <= the cap (NaN fails)."""
+    if not rows * cols <= MAX_ENTRIES:
+        raise CapacityError(f"{what} exceeds the cap of {MAX_ENTRIES} entries")
 
 
 class PrecisionError(ValueError):
@@ -217,6 +229,7 @@ class FunctionClass:
         means = np.asarray(self.means, dtype=float)
         if means.ndim != 2 or means.shape[0] < 1 or means.shape[1] < 1:
             raise ValueError("means must be a matrix with >= 1 function and >= 1 arm")
+        check_entries("class of {} functions x {} arms".format(*means.shape), *means.shape)
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
         if means.min() < 0.0 or means.max() > 1.0:
@@ -253,6 +266,8 @@ class FunctionClass:
             raise ValueError(f"class.means must be a matrix of numbers, got {doc['means']!r}") from None
         try:
             fc = cls(means, labels=labels)
+        except CapacityError:
+            raise
         except ValueError as err:
             raise ValueError(f"class.means: {err}, got {doc['means']!r}") from None
         for key, count in (("arms", fc.n_arms), ("functions", fc.n_functions)):

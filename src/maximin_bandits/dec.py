@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ArmDistribution, CapacityError, FunctionClass, gap_matrix
+from .core import ArmDistribution, FunctionClass, check_entries, gap_matrix
 from .games import solve_maximin
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "UPPER_BOUND_OF_MIN",
     "LOWER_BOUND_OF_SUP",
 ]
-
-MAX_GRID_POINTS = 2_000_000
 
 UPPER_BOUND_OF_MIN = "upper-bound-of-min"
 LOWER_BOUND_OF_SUP = "lower-bound-of-sup"
@@ -90,8 +88,7 @@ def simplex_grid(dim: int, resolution: float) -> np.ndarray:
         raise ValueError("resolution must lie in (0, 1)")
     k = max(1, round(1.0 / resolution))
     count = math.comb(k + dim - 1, dim - 1)
-    if count > MAX_GRID_POINTS:
-        raise CapacityError(f"simplex grid of {count} points exceeds the cap {MAX_GRID_POINTS}")
+    check_entries(f"simplex grid of {count} points", count, dim)
     if dim == 1:
         return np.ones((1, 1))
     combos = np.fromiter(
@@ -194,6 +191,7 @@ def _dec_search(fclass: FunctionClass, eps: float, alpha: float, resolution: flo
         return at_full_class
 
     candidates = _q_candidates(n_arms, resolution)
+    check_entries(f"DEC masks of {len(candidates)} candidates", len(candidates), fclass.n_functions)
     cache: dict[bytes, tuple[float, np.ndarray]] = {}
 
     def at(anchor) -> DecResult:

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import CapacityError, FunctionClass, PrecisionError, _frozen_array, from_json
+from .core import FunctionClass, PrecisionError, _frozen_array, check_entries, from_json
 
 __all__ = [
     "TreeMeta",
@@ -35,12 +35,8 @@ __all__ = [
     "make_gaussian_histogram",
     "gaussian_lipschitz_bound",
     "tv_distance",
-    "MAX_TREE_FUNCTIONS",
-    "MAX_NET_POINTS",
 ]
 
-MAX_TREE_FUNCTIONS = 1 << 14
-MAX_NET_POINTS = 20_000
 MAX_HISTOGRAM_BUCKETS = 500_000
 MIN_DISCRETIZER_EPS = 1e-4
 
@@ -51,19 +47,11 @@ LEFT_VALUE = 1.0 / 3.0
 RIGHT_VALUE = 2.0 / 3.0
 
 
-def _check_function_cap(family: str, n_functions: int) -> None:
-    """Refuse a class over the function cap before allocating its means."""
-    if n_functions > MAX_TREE_FUNCTIONS:
-        raise CapacityError(
-            f"{family} with {n_functions} functions exceeds the cap {MAX_TREE_FUNCTIONS}"
-        )
-
-
 def make_k_armed(k: int) -> FunctionClass:
     """K arms, K indicator functions; function i rewards only arm i."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_function_cap("k-armed class", k)
+    check_entries(f"k-armed class with {k} functions", k, k)
     return FunctionClass(np.eye(k), labels={"family": "k-armed", "k": k})
 
 
@@ -77,7 +65,7 @@ def make_singletons(n: int) -> FunctionClass:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_function_cap("singleton class", n)
+    check_entries(f"singleton class with {n} functions", n, n)
     return FunctionClass(np.eye(n), labels={"family": "singletons-truncated", "n": n})
 
 
@@ -167,7 +155,7 @@ def make_tree_class(depth: int, bucket_size: int) -> tuple[FunctionClass, TreeMe
     1 / (leaf_count * bucket_size).
     """
     meta = TreeMeta(depth=depth, bucket_size=bucket_size)
-    _check_function_cap("tree", meta.n_functions)
+    check_entries(f"tree with {meta.n_functions} functions", meta.n_functions, meta.n_arms)
     means = np.zeros((meta.n_functions, meta.n_arms))
     for leaf in range(meta.leaf_count):
         bits = meta.path_to_leaf(leaf)
@@ -218,8 +206,7 @@ def make_linear_net_class(dimension: int, alpha: float) -> FunctionClass:
             # Fibonacci grids empirically cover with chordal radius < 3.5/sqrt(n);
             # sizing n = (7/alpha)^2 keeps that under alpha/2 with margin.
             n = math.ceil((7.0 / alpha) ** 2)
-        if n > MAX_NET_POINTS:
-            raise CapacityError(f"net of {n} points exceeds the cap {MAX_NET_POINTS}")
+        check_entries(f"net of {n} points", n, n)
         net = _circle_net(n) if dimension == 2 else _fibonacci_sphere(n)
     means = np.clip((net @ net.T + 1.0) / 2.0, 0.0, 1.0)
     labels = {
@@ -332,8 +319,10 @@ def make_gaussian_histogram(mu: float, sigma: float, eps: float) -> PiecewiseUni
 
     c1 = NormalDist(0.0, sigma).inv_cdf(eps / 4.0)
     c2 = NormalDist(1.0, sigma).inv_cdf(1.0 - eps / 4.0)
-    lip = gaussian_lipschitz_bound(sigma)
-    w = math.ceil(lip * (c2 - c1) ** 2 / eps)
+    try:
+        w = math.ceil(gaussian_lipschitz_bound(sigma) * (c2 - c1) ** 2 / eps)
+    except (ZeroDivisionError, OverflowError):  # sigma^2 leaves the float range
+        w = math.inf
     if w < 1 or w > MAX_HISTOGRAM_BUCKETS:
         raise PrecisionError(f"bucket count {w} outside supported range")
 
@@ -363,6 +352,7 @@ def tv_distance(dist_a, dist_b, step: float = 1e-3) -> float:
     lo_a, hi_a = dist_a.coverage_interval(1e-6)
     lo_b, hi_b = dist_b.coverage_interval(1e-6)
     lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
-    n = max(1, math.ceil((hi - lo) / step))
-    xs = lo + (np.arange(n) + 0.5) * step
+    points = (hi - lo) / step
+    check_entries(f"quadrature grid of {points:g} points", points, 1)
+    xs = lo + (np.arange(max(1, math.ceil(points))) + 0.5) * step
     return float(0.5 * step * np.abs(dist_a.density(xs) - dist_b.density(xs)).sum())

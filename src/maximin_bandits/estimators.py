@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numpy as np
+from .core import check_entries
 
 __all__ = [
     "chernoff_sample_count",
@@ -32,7 +33,9 @@ def chernoff_sample_count(alpha: float, delta: float, m: int) -> int:
         raise ValueError("delta must lie in (0, 1)")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return math.ceil(8.0 / (alpha * alpha) * math.log(4.0 * m / delta))
+    count = np.ceil(8.0 / (alpha * alpha) * math.log(4.0 * m / delta))  # stays inf on overflow
+    check_entries(f"sample of {m} arms x {count:g} queries each", m, count)
+    return int(count)
 
 
 def median_of_means_sample_count(alpha: float, delta: float, m: int, sigma: float) -> int:
@@ -47,7 +50,9 @@ def median_of_means_sample_count(alpha: float, delta: float, m: int, sigma: floa
         raise ValueError("m must be >= 1")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return math.ceil(16.0 * DEFAULT_CM * sigma * sigma * math.log(2.0 * m / delta) / (alpha * alpha))
+    count = np.ceil(16.0 * DEFAULT_CM * sigma * sigma * math.log(2.0 * m / delta) / (alpha * alpha))
+    check_entries(f"sample of {m} arms x {count:g} queries each", m, count)
+    return int(count)
 
 
 def mom_groups(delta: float) -> int:

@@ -40,6 +40,7 @@ from .core import (
     from_json,
     gap_matrix,
     _rewards_from_uniforms,
+    check_entries,
     sample_rewards,
 )
 from .dec import _dec_search, dec_at, version_set
@@ -102,8 +103,8 @@ class LearnerParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive when given")
+        if self.sigma is not None and (not self.sigma > 0 or not math.isfinite(self.sigma)):
+            raise ValueError("sigma must be positive and finite when given")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1 when given")
         if self.budget is not None and self.budget < 0:
@@ -201,7 +202,7 @@ def run_median_of_means_learner(
     worst_var = max(
         model.noise.variance_bound(float(mu)) for mu in model.true_means
     )
-    if worst_var > params.sigma**2 + 1e-12:
+    if worst_var > params.sigma * params.sigma + 1e-12:
         raise ValueError("model reward variance exceeds the declared sigma^2")
 
     if cert is None:
@@ -274,9 +275,8 @@ def run_tree_descent(
     if model.noise.kind not in ("deterministic", "bernoulli"):
         raise ValueError("tree descent expects deterministic or Bernoulli rewards")
     stages = meta.depth + meta.bucket_size
-    log_term = math.log(4.0 * stages / params.delta)
-    n_node = math.ceil(TREE_NODE_FACTOR * log_term)
-    n_leaf = math.ceil(8.0 / (params.alpha * params.alpha) * log_term)
+    n_node = math.ceil(TREE_NODE_FACTOR * math.log(4.0 * stages / params.delta))
+    n_leaf = chernoff_sample_count(params.alpha, params.delta, stages)
 
     rng = np.random.default_rng(seed)
     stages: list[tuple[int, int]] = []
@@ -320,6 +320,7 @@ def run_non_adaptive_uniform(
         raise ValueError("budget must be >= 0")
     if reps_per_arm < 1:
         raise ValueError("reps_per_arm must be >= 1")
+    check_entries(f"schedule of {budget} positions x {reps_per_arm} queries", budget, reps_per_arm)
     rng = np.random.default_rng(seed)
     n_arms = fclass.n_arms
     # the whole schedule is committed here, before the first reward
@@ -523,6 +524,7 @@ def run_e2d(
     L = math.ceil(math.log2(4.0 / params.delta))
     if params.horizon < L + 1:
         raise ValueError(f"horizon must be at least L + 1 = {L + 1}")
+    check_entries(f"e2d horizon {params.horizon}", params.horizon, 1)
     J = params.horizon // (L + 1)
     half_alpha = params.alpha / 2.0
     bound = est_bound(fclass.n_functions, params.delta / (4.0 * L))

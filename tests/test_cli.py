@@ -1,10 +1,13 @@
+import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maximin_bandits.cli import main
+from maximin_bandits.core import CapacityError, PrecisionError
 
 
 def write_json(path, doc):
@@ -422,3 +425,54 @@ def test_document_commands_take_flags_only_from_their_field_tables():
     # and every field has its case in FIELD_CASES
     assert {(c, f) for c, _, f, _ in FIELD_CASES} == {
         (name, field) for name, fields in tables.items() for field in fields}
+
+
+#: Learner sizes past the cap, each a change to RUN_DOC: the per-arm counts
+#: of alpha 1e-7, the e2d horizon, the non-adaptive schedule, and the
+#: median-of-means count of a huge sigma (1e200 squared overflows a float).
+OVERSIZED_RUNS = {
+    "empirical-mean": {"learner": "empirical-mean", "noise": {"kind": "bernoulli"},
+                       "params": {"alpha": 1e-7, "delta": 0.1}},
+    "tree-descent": {"params": {"alpha": 1e-7, "delta": 0.1}},
+    "e2d": {"learner": "e2d", "params": {"alpha": 0.2, "delta": 0.2, "horizon": 10**11}},
+    "non-adaptive-uniform": {"learner": "non-adaptive-uniform",
+                             "params": {"alpha": 0.2, "delta": 0.1, "budget": 10**11}},
+    "median-of-means-1e6": {"learner": "median-of-means", "noise": {"kind": "bernoulli"},
+                            "params": {"alpha": 0.2, "delta": 0.1, "sigma": 1e6}},
+    "median-of-means-1e200": {"learner": "median-of-means", "noise": {"kind": "bernoulli"},
+                              "params": {"alpha": 0.2, "delta": 0.1, "sigma": 1e200}},
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED_RUNS)
+def test_run_tags_each_trial_over_the_cap(capsys, tmp_path, name):
+    out = tmp_path / "records.json"
+    cfg = write_json(tmp_path / "run.json", {**RUN_DOC, **OVERSIZED_RUNS[name], "trials": 3})
+    code, _ = run_cli(capsys, ["run", "--config", cfg, "--format", "json", "--out", str(out)])
+    assert code == 0
+    records = json.loads(out.read_text())
+    assert len(records) == 3
+    assert all("exceeds the cap" in record["error"] for record in records)
+
+
+def test_sweep_writes_a_cell_over_the_cap(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = write_json(tmp_path / "sweep.json",
+                     {**RUN_DOC, "trials": 2, "grid": {"params.alpha": [0.2, 1e-7]}})
+    code, _ = run_cli(capsys, ["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    cells = list(csv.DictReader(out.read_text().splitlines()))
+    assert [cell["params.alpha"] for cell in cells] == ["0.2", "1e-07"]
+    assert cells[0]["success_rate"] == "1.0"
+    # every trial of the second cell failed on the cap before its first query
+    assert (cells[1]["success_rate"], cells[1]["mean_queries"]) == ("0.0", "0.0")
+
+
+@pytest.mark.parametrize("sigma, error, message", [
+    ("1e-170", PrecisionError, "bucket count inf outside supported range"),
+    ("1e300", PrecisionError, "bucket count inf outside supported range"),
+    ("1e6", CapacityError, "quadrature grid of 1.59199e+10 points exceeds the cap"),
+])
+def test_discretize_refuses_an_extreme_sigma(sigma, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        main(["discretize", "--sigma", sigma])

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maximin_bandits.core import (
+    MAX_ENTRIES,
     ArmDistribution,
+    CapacityError,
     FunctionClass,
     Model,
     NoiseSpec,
@@ -115,6 +117,14 @@ def test_function_class_from_json_count_mismatch():
 def test_function_class_from_json_names_a_bad_field(change, message):
     with pytest.raises(ValueError, match=message):
         FunctionClass.from_json({"means": [[1, 0], [0, 1]], **change})
+
+
+def test_function_class_over_the_cap_is_a_capacity_error():
+    # not the wrapped ValueError of a bad matrix, which quotes every entry
+    with pytest.raises(CapacityError) as err:
+        FunctionClass.from_json({"means": [[0.0] * (MAX_ENTRIES + 1)]})
+    assert str(err.value) == (
+        f"class of 1 functions x {MAX_ENTRIES + 1} arms exceeds the cap of {MAX_ENTRIES} entries")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maximin_bandits.core import FunctionClass, gap_matrix
+from maximin_bandits.core import MAX_ENTRIES, CapacityError, FunctionClass, gap_matrix
 from maximin_bandits.dec import (
     DecResult,
     dec_at,
@@ -48,6 +49,40 @@ def test_simplex_grid_validation():
         simplex_grid(0, 0.5)
     with pytest.raises(ValueError):
         simplex_grid(2, 0.0)
+
+
+#: 4096 equal rows: every anchor's version set is the whole class or empty,
+#: so an admitted search solves one game.
+EQUAL_ROWS = FunctionClass(np.tile([1.0, 0.0], (4096, 1)))
+EQUAL_ROWS_ANCHOR = np.r_[1.0, np.zeros(4095)]
+
+#: Per DEC array, a call at the largest size the cap admits and one at the
+#: next size up: the simplex grid (points x coordinates, 1670 steps a side
+#: against 1671) and the search's version-set masks (candidates x
+#: functions, 1004 candidates against 2004).
+DEC_LARGEST_AND_NEXT = {
+    "simplex-grid": (lambda: simplex_grid(3, 1 / 1670), lambda: simplex_grid(3, 1 / 1671)),
+    "dec-masks": (lambda: dec_at(EQUAL_ROWS, EQUAL_ROWS_ANCHOR, 0.1, 0.3, resolution=0.001),
+                  lambda: dec_at(EQUAL_ROWS, EQUAL_ROWS_ANCHOR, 0.1, 0.3, resolution=0.0005)),
+}
+
+
+@pytest.mark.parametrize("name", DEC_LARGEST_AND_NEXT)
+def test_dec_arrays_at_and_over_the_cap(name):
+    largest, next_size = DEC_LARGEST_AND_NEXT[name]
+    built = largest()
+    if name == "simplex-grid":
+        assert built.shape == (math.comb(1672, 2), 3) and built.size <= MAX_ENTRIES
+    else:
+        assert built.value == 0.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds the cap"):
+            next_size()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

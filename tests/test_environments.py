@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maximin_bandits.core import CapacityError, PrecisionError, to_json
+from maximin_bandits.core import MAX_ENTRIES, CapacityError, PrecisionError, to_json
 from maximin_bandits.environments import (
     GaussianDensity,
     PiecewiseUniform,
@@ -40,13 +40,37 @@ def test_k_armed_rejects_bad_count():
         make_k_armed(0)
 
 
+#: Per constructor, the largest size the cap admits (functions x arms at most
+#: MAX_ENTRIES) and the next size up.  A net's point count grows as alpha
+#: shrinks: 2048 points at the first alpha, 2049 at the second.
+LARGEST_AND_NEXT = {
+    "k-armed": (lambda: make_k_armed(2048), lambda: make_k_armed(2049)),
+    "singletons": (lambda: make_singletons(2048), lambda: make_singletons(2049)),
+    "tree-d1": (lambda: make_tree_class(1, 1023)[0], lambda: make_tree_class(1, 1024)[0]),
+    "tree-b1": (lambda: make_tree_class(10, 1)[0], lambda: make_tree_class(11, 1)[0]),
+    "circle-net": (lambda: make_linear_net_class(2, 0.003068),
+                   lambda: make_linear_net_class(2, 0.003067)),
+    "sphere-net": (lambda: make_linear_net_class(3, 0.15468),
+                   lambda: make_linear_net_class(3, 0.15465)),
+}
+
+
+@pytest.mark.parametrize("name", LARGEST_AND_NEXT)
+def test_caps_admit_the_largest_size(name):
+    fc = LARGEST_AND_NEXT[name][0]()
+    assert fc.n_functions * fc.n_arms <= MAX_ENTRIES
+    if "net" in name:
+        assert fc.n_functions == 2048
+
+
 @pytest.mark.parametrize("build", [
     lambda: make_k_armed(10**6),
     lambda: make_singletons(10**6),
     lambda: make_linear_net_class(2, 1e-12),
-], ids=["k-armed", "singletons", "circle-net"])
+    *(next_size for _, next_size in LARGEST_AND_NEXT.values()),
+], ids=["k-armed", "singletons", "circle-net", *(f"{name}-next" for name in LARGEST_AND_NEXT)])
 def test_caps_refuse_before_allocating(build):
-    # each of these would need terabytes; the cap is checked on the count
+    # the first three would need terabytes; the cap is checked on the count
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="exceeds the cap"):

@@ -50,6 +50,9 @@ def test_learner_params_validation():
         LearnerParams(alpha=0.2, delta=1.0)
     with pytest.raises(ValueError):
         LearnerParams(alpha=0.2, delta=0.1, sigma=-1.0)
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            LearnerParams(alpha=0.2, delta=0.1, sigma=sigma)
 
 
 def test_learner_params_json_rejects_non_numbers():
