@@ -7,7 +7,11 @@ downstream (games, learners, experiment harness) builds on the types here.
 
 All randomness flows through explicit ``numpy.random.Generator`` streams or
 integer seeds derived via :func:`trial_seed`, so a run is a pure function of
-(config, seed).
+(config, seed).  A run derives its trial seeds in batches with
+:func:`trial_seeds` and :func:`generator_seeds`: one vectorised pass hashes
+a block of them and computes the words numpy's ``SeedSequence`` would, so
+each trial's ``np.random.default_rng(seed)`` is a fresh generator with the
+stream of ``default_rng(int(seed))``, built without hashing the seed again.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import types
 import typing
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property, partial
 
@@ -39,10 +44,13 @@ __all__ = [
     "sample_rewards",
     "two_point_support",
     "trial_seed",
+    "trial_seeds",
+    "generator_seeds",
     "HEAVY_TAIL_OUTLIER_PROB",
     "NOISE_KINDS",
 ]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 #: Total probability that a heavy-tail three-point reward lands on an outlier
@@ -73,8 +81,10 @@ class PrecisionError(ValueError):
     """A requested tolerance is finer than the numeric scheme can resolve."""
 
 
-def _split_mix64(state: int) -> int:
+def _split_mix64(state):
     # SplitMix64 finalizer: bijective 64-bit mix, stable across platforms.
+    # The same bits on an int and on a 1-D uint64 array (whose products wrap
+    # without the overflow warning a numpy scalar would raise).
     z = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -90,6 +100,116 @@ def trial_seed(master_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError("trial index must be nonnegative")
     return _split_mix64((_split_mix64(master_seed & _MASK64) + index) & _MASK64)
+
+
+def trial_seeds(master, index) -> np.ndarray:
+    """:func:`trial_seed` over arrays, as a 1-D uint64 array.
+
+    ``master`` is an int (any int, reduced mod 2^64 as :func:`trial_seed`
+    does) or a 1-D uint64 array of master seeds; ``index`` is an int or a
+    1-D array of nonnegative ints.  The two broadcast against each other.
+    """
+    index = np.asarray(index)
+    if index.size and index.min() < 0:
+        raise ValueError("trial index must be nonnegative")
+    if np.ndim(master) == 0:
+        master = [int(master) & _MASK64]
+    master = np.asarray(master, dtype=np.uint64)
+    return _split_mix64((_split_mix64(master) + index.astype(np.uint64)) & _MASK64)
+
+
+def _hash_chain(init: int, mult: int, count: int) -> tuple:
+    """The (xor, multiplier) constants of ``count`` successive SeedSequence
+    hashes: each xors in the running constant, then multiplies by it once
+    stepped."""
+    chain, const = [], init
+    for _ in range(count):
+        stepped = const * mult & _MASK32
+        chain.append((const, stepped))
+        const = stepped
+    return tuple(chain)
+
+
+# numpy.random.SeedSequence's hash constants.  Its pool hashes its four
+# entropy words, then twelve more as it cross-mixes them; generating four
+# uint64 words hashes the pool eight times on a second chain.
+_POOL_HASHES = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_HASHES = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash32(words: np.ndarray, consts: tuple) -> np.ndarray:
+    words = (words ^ consts[0]) * consts[1]
+    return words ^ (words >> 16)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """Row i is ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
+
+    A seed below 2^64 enters the pool as its low and high 32-bit words,
+    padded with zeros to the pool size of four.  Every step is a uint32
+    multiply, xor or shift with constants that do not depend on the seed,
+    so the whole batch is mixed at once.
+    """
+    hashes = iter(_POOL_HASHES)
+    zeros = np.zeros(seeds.size, dtype=np.uint32)
+    entropy = ((seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zeros, zeros)
+    pool = [_hash32(word, next(hashes)) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash32(pool[src], next(hashes))
+                pool[dst] = mixed ^ (mixed >> 16)
+    state = np.empty((seeds.size, 8), dtype="<u4")
+    for i, consts in enumerate(_OUTPUT_HASHES):
+        state[:, i] = _hash32(pool[i % 4], consts)
+    # SeedSequence pairs its uint32 words little-endian into uint64s
+    return state.view("<u8").astype(np.uint64)
+
+
+@cache
+def _seed_type() -> type:
+    """The seed type :func:`generator_seeds` yields, made on first use so
+    that importing this module leaves ``numpy.random`` unimported."""
+    from numpy.random.bit_generator import ISeedSequence, SeedSequence
+
+    class TrialSeed(int, ISeedSequence):
+        """An int seed holding its SeedSequence words, ``words``."""
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and np.dtype(dtype) == np.uint64:  # what PCG64 asks
+                return self.words.copy()
+            return SeedSequence(int(self)).generate_state(n_words, dtype)
+
+    return TrialSeed
+
+
+#: Trials whose seeds one numpy pass of :func:`generator_seeds` derives:
+#: enough to amortise a pass, few enough that memory does not grow with
+#: the trial count.
+_SEED_BLOCK = 1024
+
+
+def generator_seeds(master: int, trials: int, stream: int | None = None) -> Iterator[int]:
+    """Yield ``trial_seed(master, i)`` for i = 0 .. trials-1, lazily; with a
+    ``stream``, yield that stream of each, ``trial_seed(trial_seed(master, i),
+    stream)``.
+
+    Each seed is an int equal to that value, and ``np.random.default_rng``
+    seeds a fresh ``Generator(PCG64)`` from it with the stream of
+    ``default_rng(int(seed))``.  It does so from words derived here for a
+    block of trials in one numpy pass, instead of hashing each seed through
+    a new ``SeedSequence``.
+    """
+    seed_type = _seed_type()
+    for start in range(0, trials, _SEED_BLOCK):
+        block = trial_seeds(master, np.arange(start, min(start + _SEED_BLOCK, trials)))
+        if stream is not None:
+            block = trial_seeds(block, stream)
+        for value, words in zip(block.tolist(), _seed_words(block)):
+            seed = seed_type(value)
+            seed.words = words
+            yield seed
 
 
 def config_number(value, kind: type, name: str):

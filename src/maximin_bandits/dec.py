@@ -86,11 +86,14 @@ def simplex_grid(dim: int, resolution: float) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     if not 0.0 < resolution < 1.0:
         raise ValueError("resolution must lie in (0, 1)")
+    if dim == 1:
+        return np.ones((1, 1))
+    # the grid has more than 1/resolution points: a denormal resolution
+    # fails here, before round(inf)
+    check_entries(f"simplex grid at resolution {resolution:g}", 1.0 / resolution, dim)
     k = max(1, round(1.0 / resolution))
     count = math.comb(k + dim - 1, dim - 1)
     check_entries(f"simplex grid of {count} points", count, dim)
-    if dim == 1:
-        return np.ones((1, 1))
     combos = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(k + dim - 1), dim - 1)),
         dtype=np.int64,

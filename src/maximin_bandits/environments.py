@@ -22,7 +22,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import FunctionClass, PrecisionError, _frozen_array, check_entries, from_json
+from .core import (
+    MAX_ENTRIES,
+    CapacityError,
+    FunctionClass,
+    PrecisionError,
+    _frozen_array,
+    check_entries,
+    from_json,
+)
 
 __all__ = [
     "TreeMeta",
@@ -155,6 +163,8 @@ def make_tree_class(depth: int, bucket_size: int) -> tuple[FunctionClass, TreeMe
     1 / (leaf_count * bucket_size).
     """
     meta = TreeMeta(depth=depth, bucket_size=bucket_size)
+    if depth > math.log2(MAX_ENTRIES):  # 2^depth functions alone exceed the cap
+        raise CapacityError(f"tree of depth {depth} exceeds the cap of {MAX_ENTRIES} entries")
     check_entries(f"tree with {meta.n_functions} functions", meta.n_functions, meta.n_arms)
     means = np.zeros((meta.n_functions, meta.n_arms))
     for leaf in range(meta.leaf_count):
@@ -198,15 +208,20 @@ def make_linear_net_class(dimension: int, alpha: float) -> FunctionClass:
     if dimension == 1:
         net = np.array([[-1.0], [1.0]])
     else:
-        if dimension == 2:
-            # n equally spaced angles cover the circle with chordal radius
-            # 2 sin(pi / (2n)); pick the smallest n making that <= alpha / 2.
-            n = max(3, math.ceil(math.pi / (2.0 * math.asin(min(alpha / 4.0, 1.0)))))
-        else:
-            # Fibonacci grids empirically cover with chordal radius < 3.5/sqrt(n);
-            # sizing n = (7/alpha)^2 keeps that under alpha/2 with margin.
-            n = math.ceil((7.0 / alpha) ** 2)
-        check_entries(f"net of {n} points", n, n)
+        try:
+            if dimension == 2:
+                # n equally spaced angles cover the circle with chordal radius
+                # 2 sin(pi / (2n)); pick the smallest n making that <= alpha / 2.
+                points = math.pi / (2.0 * math.asin(min(alpha / 4.0, 1.0)))
+            else:
+                # Fibonacci grids empirically cover with chordal radius < 3.5/sqrt(n);
+                # sizing n = (7/alpha)^2 keeps that under alpha/2 with margin.
+                points = (7.0 / alpha) ** 2
+        except (ZeroDivisionError, OverflowError):  # alpha too small for any float size
+            points = math.inf
+        # the cap, a square, admits ceil(points) exactly when it admits points
+        check_entries(f"net of {points:g} points", points, points)
+        n = max(3, math.ceil(points))
         net = _circle_net(n) if dimension == 2 else _fibonacci_sphere(n)
     means = np.clip((net @ net.T + 1.0) / 2.0, 0.0, 1.0)
     labels = {

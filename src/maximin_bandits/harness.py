@@ -2,9 +2,11 @@
 
 Every experiment is a pure function of (config, master seed): trial i runs on
 the derived seed ``trial_seed(master, i)``, records are persisted in trial
-order, and repeated executions produce byte-identical output files.  Wall
-times are measured only when ``record_runtime`` is set, because persisted
-timings would break reproducibility; by default the runtime column is 0.
+order, and repeated executions produce byte-identical output files.  A run
+derives its trial seeds in vectorised batches (``core.trial_seeds`` and
+``core.generator_seeds``).  Wall times are measured only when
+``record_runtime`` is set, because persisted timings would break
+reproducibility; by default the runtime column is 0.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from .core import (
     config_value,
     from_json,
     gap_matrix,
+    generator_seeds,
     to_json,
     trial_seed,
+    trial_seeds,
 )
 from .environments import TreeMeta, make_k_armed, make_linear_net_class, make_singletons, make_tree_class
 from .learners import (
@@ -289,21 +293,33 @@ def _prepare_context(config: ExperimentConfig) -> _RunContext:
     )
 
 
-def _run_trial(ctx: _RunContext, index: int, learner_stream: int = 1) -> TrialRecord:
-    """Trial ``index`` of ``ctx``: the model row comes from stream 0 of the
-    trial seed, the learner from stream ``learner_stream``."""
+def _run_trials(ctx: _RunContext, learner_stream: int = 1) -> list:
+    """Every trial of ``ctx.config``, in order.  Trial i's model row comes
+    from stream 0 of ``trial_seed(seed, i)`` and its learner from stream
+    ``learner_stream``; the seeds are derived in batches."""
+    master, trials = ctx.config.seed, ctx.config.trials
+    streams = zip(
+        trial_seeds(master, np.arange(trials)).tolist(),
+        generator_seeds(master, trials, 0),
+        generator_seeds(master, trials, learner_stream),
+    )
+    return [_run_trial(ctx, i, *trial) for i, trial in enumerate(streams)]
+
+
+def _run_trial(
+    ctx: _RunContext, index: int, ts: int, model_seed: int, learner_seed: int
+) -> TrialRecord:
+    """Trial ``index`` of ``ctx`` on the seeds ``_run_trials`` derived for it."""
     config = ctx.config
-    ts = trial_seed(config.seed, index)
-    model_rng = np.random.default_rng(trial_seed(ts, 0))
     if config.true_function is None:
-        true_f = int(model_rng.integers(ctx.fclass.n_functions))
+        true_f = int(np.random.default_rng(model_seed).integers(ctx.fclass.n_functions))
     else:
         true_f = int(config.true_function)
     model = Model(ctx.fclass, true_f, config.noise)
 
     started = time.perf_counter() if config.record_runtime else 0.0
     try:
-        transcript = _DISPATCH[config.learner](ctx, model, trial_seed(ts, learner_stream))
+        transcript = _DISPATCH[config.learner](ctx, model, learner_seed)
     except (ValueError, RuntimeError) as exc:
         # contract violations surface as failed trials tagged with the reason
         queries, success, output_arm, error = 0, False, -1, str(exc)
@@ -340,7 +356,7 @@ def monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
     frequency.
     """
     ctx = _prepare_context(config)
-    records = [_run_trial(ctx, i) for i in range(config.trials)]
+    records = _run_trials(ctx)
 
     successes = sum(1 for r in records if r.success)
     rate = successes / len(records)
@@ -411,8 +427,7 @@ def certify_lower_bound(
         raise ValueError("delta must lie in (0, 1)")
     counts = np.zeros(fclass.n_arms)
     budget = 0
-    for i in range(trials):
-        rng = np.random.default_rng(trial_seed(seed, i))
+    for rng in map(np.random.default_rng, generator_seeds(seed, trials)):
         used = 0
 
         def query(arm: int) -> float:
@@ -545,7 +560,7 @@ def adaptivity_experiment(
 
     def records(config: ExperimentConfig, learner_stream: int) -> list:
         ctx = _RunContext(config, fclass, meta, None, cert.value, config.experiment_id)
-        return [_run_trial(ctx, i, learner_stream) for i in range(trials)]
+        return _run_trials(ctx, learner_stream)
 
     # both learners face the same model in each trial (stream 0)
     adaptive_records = records(descent, 1)

@@ -1,5 +1,9 @@
 import ast
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, field
 from pathlib import Path
 
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from maximin_bandits.core import (
     MAX_ENTRIES,
+    _seed_words,
     ArmDistribution,
     CapacityError,
     FunctionClass,
@@ -17,8 +22,10 @@ from maximin_bandits.core import (
     Transcript,
     from_json,
     gap_matrix,
+    generator_seeds,
     sample_rewards,
     trial_seed,
+    trial_seeds,
     to_json,
     two_point_support,
     HEAVY_TAIL_OUTLIER_PROB,
@@ -53,6 +60,100 @@ def test_trial_seed_rejects_negative_index():
 def test_trial_seed_stays_in_u64(master, index):
     s = trial_seed(master, index)
     assert 0 <= s < 2**64
+
+
+# ---------------------------------------------------------------------------
+# trial_seeds and generator_seeds: the batch forms, checked against the
+# scalar trial_seed and numpy's own SeedSequence
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("master", [-7, 0, 42, 2**64 + 5, 2**70 + 3])
+def test_trial_seeds_equal_trial_seed(master):
+    seeds = trial_seeds(master, np.arange(1000))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [trial_seed(master, i) for i in range(1000)]
+    streams = trial_seeds(seeds, 3)
+    assert streams.tolist() == [trial_seed(trial_seed(master, i), 3) for i in range(1000)]
+    assert trial_seeds(master, 7).tolist() == [trial_seed(master, 7)]
+
+
+def test_trial_seeds_rejects_negative_index():
+    with pytest.raises(ValueError):
+        trial_seeds(1, np.array([0, -1]))
+
+
+#: 20,000 seeds spread over the 64-bit range, then the word boundaries.
+BATCH_SEEDS = np.concatenate([
+    np.random.default_rng(2024).integers(0, 2**64, size=20_000, dtype=np.uint64),
+    np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64),
+])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batch_seed_words_equal_seed_sequence():
+    words = _seed_words(BATCH_SEEDS)
+    assert words.shape == (BATCH_SEEDS.size, 4) and words.dtype == np.uint64
+    for seed, row in zip(BATCH_SEEDS.tolist(), words):
+        np.testing.assert_array_equal(
+            row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("master", [-7, 3, 2**64 + 5])
+def test_generator_seeds_equal_trial_seed(master):
+    # 2500 trials span three blocks of the batch pass
+    assert list(generator_seeds(master, 2500)) == [trial_seed(master, i) for i in range(2500)]
+    assert list(generator_seeds(master, 2500, 2)) == [
+        trial_seed(trial_seed(master, i), 2) for i in range(2500)]
+    assert list(generator_seeds(master, 0)) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_default_rng_of_a_generator_seed_is_the_integer_stream():
+    for seed in generator_seeds(2**63 + 11, 50, 1):
+        batch, direct = np.random.default_rng(seed), np.random.default_rng(int(seed))
+        assert batch.bit_generator.state == direct.bit_generator.state
+        np.testing.assert_array_equal(batch.random(5), direct.random(5))
+        np.testing.assert_array_equal(batch.integers(10, size=5), direct.integers(10, size=5))
+        # each call seeds a fresh generator: the first is not advanced
+        again = np.random.default_rng(seed)
+        np.testing.assert_array_equal(again.random(5), np.random.default_rng(int(seed)).random(5))
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                            (5, np.uint64), (4, "uint32")])
+def test_generator_seed_falls_back_to_seed_sequence(n_words, dtype):
+    (seed,) = generator_seeds(99, 1)
+    np.testing.assert_array_equal(
+        seed.generate_state(n_words, dtype),
+        np.random.SeedSequence(trial_seed(99, 0)).generate_state(n_words, dtype))
+    with pytest.raises(ValueError):
+        seed.generate_state(4, np.float64)
+
+
+def test_generator_seeds_hold_one_block_at_a_time():
+    seeds = generator_seeds(5, 10**12)
+    tracemalloc.start()
+    try:
+        first = next(seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == trial_seed(5, 0)
+    assert peak < 1 << 20
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # numpy 2 imports numpy.random on first use; seeding must not import it
+    # at load time, which every command's start-up would pay for
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import maximin_bandits.cli; print(before, 'numpy.random' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    before, after = out.stdout.split()
+    assert after == before
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,19 @@ def test_dec_arrays_at_and_over_the_cap(name):
     assert peak < 1 << 20
 
 
+def test_simplex_grid_refuses_a_denormal_resolution():
+    # 1 / resolution is inf: refused on the count, before round(inf)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds the cap"):
+            simplex_grid(2, 1e-320)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert simplex_grid(1, 1e-320).tolist() == [[1.0]]
+
+
 # ---------------------------------------------------------------------------
 # version sets
 

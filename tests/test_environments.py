@@ -67,10 +67,15 @@ def test_caps_admit_the_largest_size(name):
     lambda: make_k_armed(10**6),
     lambda: make_singletons(10**6),
     lambda: make_linear_net_class(2, 1e-12),
+    lambda: make_tree_class(20000, 1),
+    lambda: make_linear_net_class(2, 5e-324),
+    lambda: make_linear_net_class(3, 1e-320),
     *(next_size for _, next_size in LARGEST_AND_NEXT.values()),
-], ids=["k-armed", "singletons", "circle-net", *(f"{name}-next" for name in LARGEST_AND_NEXT)])
+], ids=["k-armed", "singletons", "circle-net", "tree-depth-20000", "circle-net-denormal",
+        "sphere-net-denormal", *(f"{name}-next" for name in LARGEST_AND_NEXT)])
 def test_caps_refuse_before_allocating(build):
-    # the first three would need terabytes; the cap is checked on the count
+    # the first six would need terabytes or more (2^20000 leaves, or no
+    # finite net at a denormal alpha); the cap is checked on the count
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="exceeds the cap"):

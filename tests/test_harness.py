@@ -361,6 +361,14 @@ def test_sweep_records_a_class_over_the_cap():
     assert "k-armed class with 1000000 functions exceeds the cap" in cells[1]["error"]
 
 
+def test_sweep_records_a_denormal_net_alpha():
+    cfg = tree_config(class_spec={"constructor": "linear-net", "dimension": 2, "alpha": 0.5},
+                      learner="empirical-mean", trials=2, grid={"class.alpha": [0.5, 5e-324]})
+    cells = sweep(cfg).cells
+    assert len(cells) == 2 and cells[0]["error"] == ""
+    assert "net of inf points exceeds the cap" in cells[1]["error"]
+
+
 def test_monte_carlo_rejects_out_of_range_true_function():
     for bad in (4, -1):
         with pytest.raises(ValueError, match="out of range"):
