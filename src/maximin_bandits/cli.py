@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .core import check_keys, config_number, config_value, to_json
 from .dec import default_anchor_candidates, dec_at, dec_sup
 from .environments import make_gaussian_histogram, tv_distance, GaussianDensity
@@ -79,7 +81,10 @@ def _cmd_gamma(args) -> int:
 def _cmd_dec(args) -> int:
     fclass, _ = build_function_class(_load_json(args.config))
     if args.anchors in ("vertices", "vertices+midpoints"):
-        anchors = default_anchor_candidates(fclass, include_midpoints=args.anchors != "vertices")
+        if args.sup:
+            anchors = default_anchor_candidates(fclass, include_midpoints=args.anchors != "vertices")
+        else:  # dec_at reads only the first anchor: build vertex 0 alone
+            anchors = [np.eye(1, fclass.n_functions)[0]]
     else:
         doc = _load_json(args.anchors)
         if isinstance(doc, dict):

@@ -121,7 +121,7 @@ def _anchor_prediction(fclass: FunctionClass, anchor) -> tuple[np.ndarray, np.nd
 
 def version_set(fclass: FunctionClass, anchor, q: ArmDistribution, eps: float) -> VersionSet:
     """Functions f with sum_a q(a) (f(a) - f_bar(a))^2 <= eps^2 (non-strict)."""
-    if eps < 0:
+    if not eps >= 0:  # NaN fails too
         raise ValueError("eps must be >= 0")
     weights, f_bar = _anchor_prediction(fclass, anchor)
     if q.n_arms != fclass.n_arms:
@@ -168,7 +168,7 @@ def _dec_search(fclass: FunctionClass, eps: float, alpha: float, resolution: flo
     version set's row mask to the inner game's (value, p); the anchor only
     picks the masks.
     """
-    if eps < 0:
+    if not eps >= 0:  # NaN fails too
         raise ValueError("eps must be >= 0")
     if not 0.0 < resolution < 1.0:
         raise ValueError("resolution must lie in (0, 1)")
@@ -237,9 +237,13 @@ def _dec_search(fclass: FunctionClass, eps: float, alpha: float, resolution: flo
 
 def default_anchor_candidates(fclass: FunctionClass, include_midpoints: bool = True) -> list[np.ndarray]:
     """Vertices of the class's mixture simplex, then (``include_midpoints``)
-    pairwise midpoints and the centroid."""
+    pairwise midpoints and the centroid.  The family's size is checked
+    against the cap before any anchor is built."""
     n = fclass.n_functions
-    anchors = [np.eye(n)[i] for i in range(n)]
+    family = "vertices+midpoints" if include_midpoints else "vertices"
+    count = n + n * (n - 1) // 2 + 1 if include_midpoints else n
+    check_entries(f"{family} anchor family of {count} anchors", count, n)
+    anchors = [np.eye(1, n, i)[0] for i in range(n)]
     if include_midpoints:
         for i in range(n):
             for j in range(i + 1, n):

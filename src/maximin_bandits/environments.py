@@ -79,11 +79,12 @@ def make_singletons(n: int) -> FunctionClass:
 
 @dataclass(frozen=True)
 class TreeMeta:
-    """Index geometry of a binary-tree class.
+    """Index geometry of a binary-tree class, in heap order.
 
-    Arms are laid out as all internal nodes in breadth-first order followed by
-    the leaf buckets left to right; functions are (leaf, slot) pairs in the
-    same order.
+    Arms are the internal nodes in heap order (node i's children are arms
+    2i+1 and 2i+2), then the leaf buckets left to right; functions are
+    (leaf, slot) pairs in the same order, so function f's bucket arm is
+    n_internal + f, and leaf x's level-l ancestor is 2^l - 1 + (x >> (d - l)).
     """
 
     depth: int
@@ -132,11 +133,11 @@ class TreeMeta:
             raise IndexError("leaf index out of range")
         return tuple((leaf >> (self.depth - 1 - lvl)) & 1 for lvl in range(self.depth))
 
-    def bucket_arms_of(self, leaf: int) -> list[int]:
+    def bucket_arms_of(self, leaf: int) -> range:
         if not 0 <= leaf < self.leaf_count:
             raise IndexError("leaf index out of range")
         start = self.n_internal + leaf * self.bucket_size
-        return list(range(start, start + self.bucket_size))
+        return range(start, start + self.bucket_size)
 
     def function_index(self, leaf: int, slot: int) -> int:
         if not 0 <= slot < self.bucket_size:
@@ -149,8 +150,8 @@ class TreeMeta:
         return function // self.bucket_size
 
     def optimal_arm_of(self, function: int) -> int:
-        leaf = self.leaf_of_function(function)
-        return self.bucket_arms_of(leaf)[function % self.bucket_size]
+        self.leaf_of_function(function)  # the range check
+        return self.n_internal + function
 
 
 def make_tree_class(depth: int, bucket_size: int) -> tuple[FunctionClass, TreeMeta]:
@@ -167,14 +168,13 @@ def make_tree_class(depth: int, bucket_size: int) -> tuple[FunctionClass, TreeMe
         raise CapacityError(f"tree of depth {depth} exceeds the cap of {MAX_ENTRIES} entries")
     check_entries(f"tree with {meta.n_functions} functions", meta.n_functions, meta.n_arms)
     means = np.zeros((meta.n_functions, meta.n_arms))
-    for leaf in range(meta.leaf_count):
-        bits = meta.path_to_leaf(leaf)
-        branch_arms = [meta.internal_arm_of(bits[:lvl]) for lvl in range(meta.depth)]
-        branch_vals = [RIGHT_VALUE if b else LEFT_VALUE for b in bits]
-        for slot in range(meta.bucket_size):
-            f = meta.function_index(leaf, slot)
-            means[f, branch_arms] = branch_vals
-            means[f, meta.bucket_arms_of(leaf)[slot]] = 1.0
+    functions = np.arange(meta.n_functions)
+    leaves = functions // bucket_size
+    for level in range(depth):  # heap order: see TreeMeta
+        ancestors = (1 << level) - 1 + (leaves >> (depth - level))
+        right = (leaves >> (depth - 1 - level)) & 1
+        means[functions, ancestors] = np.where(right, RIGHT_VALUE, LEFT_VALUE)
+    means[functions, meta.n_internal + functions] = 1.0
     labels = {"family": "tree", "depth": depth, "bucket_size": bucket_size}
     return FunctionClass(means, labels=labels), meta
 

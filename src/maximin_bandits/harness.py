@@ -29,6 +29,7 @@ from .core import (
     NoiseSpec,
     Transcript,
     _json_fields,
+    check_entries,
     check_keys,
     config_number,
     config_value,
@@ -196,6 +197,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # a run keeps one record of len(CSV_COLUMNS) fields per trial
+        check_entries(f"run of {self.trials} trial records", self.trials, len(CSV_COLUMNS))
         if self.learner not in _DISPATCH:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.format not in ("csv", "json"):
@@ -548,29 +551,24 @@ def adaptivity_experiment(
         seed=seed,
         experiment_id=f"adaptivity-d{depth}-tree-descent",
     )
-    fclass, meta = make_tree_class(depth, 1)
-    cert = games.gamma(fclass, alpha)
-    budget = int(math.floor(1.0 / (10.0 * cert.value)))
+    ctx = _prepare_context(descent)
+    budget = int(math.floor(1.0 / (10.0 * ctx.gamma_value)))
     fixed = replace(
         descent,
         learner="non-adaptive-uniform",
         params=replace(descent.params, budget=budget),
         experiment_id=f"adaptivity-d{depth}-non-adaptive",
     )
-
-    def records(config: ExperimentConfig, learner_stream: int) -> list:
-        ctx = _RunContext(config, fclass, meta, None, cert.value, config.experiment_id)
-        return _run_trials(ctx, learner_stream)
-
     # both learners face the same model in each trial (stream 0)
-    adaptive_records = records(descent, 1)
-    non_adaptive_records = records(fixed, 2)
+    adaptive_records = _run_trials(ctx, 1)
+    baseline = replace(ctx, config=fixed, experiment_id=fixed.experiment_id)
+    non_adaptive_records = _run_trials(baseline, 2)
 
     failure_rate = sum(not r.success for r in non_adaptive_records) / trials
     slack = 3.0 * math.sqrt(0.25 / trials)
     return AdaptivityReport(
         depth=depth,
-        gamma_value=cert.value,
+        gamma_value=ctx.gamma_value,
         trials=trials,
         non_adaptive_budget=budget,
         adaptive_success_rate=sum(r.success for r in adaptive_records) / trials,

@@ -238,13 +238,10 @@ def descend_tree(meta: TreeMeta, stage_mean, n_node: int, n_leaf: int) -> tuple[
     bucket arm is estimated from ``n_leaf`` queries.  Returns the leaf and
     the bucket arm with the best estimate (least index on ties).
     """
-    path: list[int] = []
+    node = 0  # heap order: node i's children are 2i+1 (left) and 2i+2 (right)
     for _ in range(meta.depth):
-        mean = stage_mean(meta.internal_arm_of(path), n_node)
-        path.append(1 if mean >= TREE_THRESHOLD else 0)
-    leaf = 0
-    for bit in path:
-        leaf = 2 * leaf + bit
+        node = 2 * node + (2 if stage_mean(node, n_node) >= TREE_THRESHOLD else 1)
+    leaf = node - meta.n_internal
     best_arm, best = -1, -math.inf
     for arm in meta.bucket_arms_of(leaf):
         estimate = stage_mean(arm, n_leaf)

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -476,3 +477,52 @@ def test_sweep_writes_a_cell_over_the_cap(capsys, tmp_path):
 def test_discretize_refuses_an_extreme_sigma(sigma, error, message):
     with pytest.raises(error, match=re.escape(message)):
         main(["discretize", "--sigma", sigma])
+
+
+def test_dec_command_refuses_a_nan_eps(k3_class):
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        main(["dec", "--config", k3_class, "--eps", "nan", "--alpha", "0.3"])
+
+
+def test_dec_command_builds_only_the_first_vertex(capsys, tmp_path):
+    from maximin_bandits.core import to_json
+    from maximin_bandits.dec import dec_at
+    from maximin_bandits.environments import make_k_armed
+
+    # the midpoint family of k-armed 400 (80,201 anchors) is over the cap
+    config = write_json(tmp_path / "k400.json", {"constructor": "k-armed", "k": 400})
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, ["dec", "--config", config, "--eps", "1", "--alpha", "0.3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 << 20
+    fclass = make_k_armed(400)
+    assert json.loads(out)["dec"] == to_json(dec_at(fclass, np.eye(400)[0], 1.0, 0.3))
+    with pytest.raises(CapacityError, match="anchor family of 80201 anchors"):
+        main(["dec", "--config", config, "--eps", "1", "--alpha", "0.3", "--sup"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--trials", "1000000000000"],
+    ["adaptivity", "--depth", "2", "--trials", "1000000000000"],
+], ids=["run", "adaptivity"])
+def test_a_trial_count_over_the_cap_is_refused(tmp_path, argv):
+    if argv[0] == "run":
+        argv = [*argv, "--config", write_json(tmp_path / "run.json", RUN_DOC)]
+    with pytest.raises(CapacityError, match="run of 1000000000000 trial records exceeds the cap"):
+        main(argv)
+
+
+def test_sweep_writes_a_cell_with_too_many_trials(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = write_json(tmp_path / "sweep.json", {**RUN_DOC, "grid": {"trials": [2, 1e12]}})
+    code, _ = run_cli(capsys, ["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    cells = list(csv.DictReader(out.read_text().splitlines()))
+    assert [cell["trials"] for cell in cells] == ["2", "1000000000000.0"]
+    assert (cells[0]["success_rate"], cells[0]["error"]) == ("1.0", "")
+    assert cells[1]["success_rate"] == ""
+    assert "run of 1000000000000 trial records exceeds the cap" in cells[1]["error"]

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maximin_bandits.core import MAX_ENTRIES, CapacityError, FunctionClass, gap_matrix
+from maximin_bandits.core import (
+    MAX_ENTRIES,
+    ArmDistribution,
+    CapacityError,
+    FunctionClass,
+    gap_matrix,
+    to_json,
+)
 from maximin_bandits.dec import (
     DecResult,
     dec_at,
@@ -273,6 +280,48 @@ def test_default_anchor_candidates_structure():
     for a in anchors:
         assert a.shape == (3,)
         assert a.sum() == pytest.approx(1.0)
+
+
+def test_default_anchor_family_at_and_over_the_cap():
+    # n + n(n-1)/2 + 1 anchors of n weights: 202 functions fit, 203 do not
+    largest, next_size = make_k_armed(202), make_k_armed(203)
+    assert len(default_anchor_candidates(largest)) == 202 + 202 * 201 // 2 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="vertices\\+midpoints anchor family of 20707 anchors"):
+            default_anchor_candidates(next_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(default_anchor_candidates(next_size, include_midpoints=False)) == 203
+
+
+def test_default_vertex_family_at_and_over_the_cap():
+    # one arm keeps the class small: the n vertices of n weights cap n at 2048
+    largest = FunctionClass(np.zeros((2048, 1)))
+    vertices = default_anchor_candidates(largest, include_midpoints=False)
+    assert len(vertices) == 2048 and vertices[5].tolist() == np.eye(2048)[5].tolist()
+    with pytest.raises(CapacityError, match="vertices anchor family of 2049 anchors"):
+        default_anchor_candidates(FunctionClass(np.zeros((2049, 1))), include_midpoints=False)
+
+
+@pytest.mark.parametrize("search", [
+    lambda fc, eps: dec_at(fc, np.eye(3)[0], eps, 0.3),
+    lambda fc, eps: dec_sup(fc, eps, 0.3),
+    lambda fc, eps: version_set(fc, np.eye(3)[0], ArmDistribution.uniform(3), eps),
+], ids=["dec_at", "dec_sup", "version_set"])
+def test_dec_refuses_a_nan_eps(search):
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        search(make_k_armed(3), math.nan)
+
+
+def test_dec_at_an_infinite_eps_takes_the_full_class():
+    fc = make_k_armed(3)
+    assert to_json(dec_at(fc, np.eye(3)[0], math.inf, 0.3)) == {
+        **to_json(dec_at(fc, np.eye(3)[0], 1.0, 0.3)), "eps": math.inf}
+    members = version_set(fc, np.eye(3)[0], ArmDistribution.uniform(3), math.inf).members
+    assert members.tolist() == [0, 1, 2]
 
 
 def test_dec_sup_dominates_each_anchor():

@@ -127,6 +127,30 @@ def test_tree_all_functions_have_unique_peak():
         assert int(np.argmax(row)) == meta.optimal_arm_of(f)
 
 
+def path_built_tree_means(meta):
+    """The tree matrix built function by function from root-to-leaf paths."""
+    means = np.zeros((meta.n_functions, meta.n_arms))
+    for leaf in range(meta.leaf_count):
+        bits = meta.path_to_leaf(leaf)
+        for slot in range(meta.bucket_size):
+            f = meta.function_index(leaf, slot)
+            for level, bit in enumerate(bits):
+                means[f, meta.internal_arm_of(bits[:level])] = RIGHT_VALUE if bit else LEFT_VALUE
+            means[f, meta.bucket_arms_of(leaf)[slot]] = 1.0
+    return means
+
+
+@pytest.mark.parametrize("bucket_size", [1, 2, 3])
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_tree_heap_order_matches_the_path_built_matrix(depth, bucket_size):
+    fclass, meta = make_tree_class(depth, bucket_size)
+    expected = path_built_tree_means(meta)
+    assert fclass.means.shape == expected.shape
+    assert fclass.means.tobytes() == expected.tobytes()
+    for f in range(meta.n_functions):
+        assert meta.optimal_arm_of(f) == meta.bucket_arms_of(meta.leaf_of_function(f))[f % bucket_size]
+
+
 def test_tree_gamma_closed_form_small():
     for d, n in ((1, 1), (1, 2), (2, 1), (3, 2)):
         fclass, _ = make_tree_class(d, n)

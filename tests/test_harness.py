@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maximin_bandits.core import ArmDistribution, NoiseSpec, to_json
+from maximin_bandits.core import ArmDistribution, CapacityError, NoiseSpec, to_json
 from maximin_bandits.environments import make_tree_class
 from maximin_bandits.harness import (
     CSV_COLUMNS,
@@ -38,6 +38,14 @@ def tree_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def test_trial_count_cap_admits_one_record_per_trial():
+    # one record of len(CSV_COLUMNS) fields per trial: 2^22 // 12 trials fit
+    assert len(CSV_COLUMNS) == 12
+    assert tree_config(trials=349_525).trials == 349_525
+    with pytest.raises(CapacityError, match="run of 349526 trial records exceeds the cap"):
+        tree_config(trials=349_526)
 
 
 # ---------------------------------------------------------------------------

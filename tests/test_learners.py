@@ -29,6 +29,7 @@ from maximin_bandits.learners import (
     _row_products,
     _running_sum,
     UnlearnableInstanceError,
+    descend_tree,
     est_bound,
     oracle_weights,
     run_e2d,
@@ -284,6 +285,41 @@ def test_tree_descent_queries_only_on_path_and_bucket():
     path_arms.update(meta.bucket_arms_of(5))
     assert set(np.unique(t.arms)) == path_arms
     assert t.output_arm == meta.optimal_arm_of(meta.function_index(5, 1))
+
+
+def path_descend_tree(meta, stage_mean, n_node, n_leaf):
+    """Tree descent that keeps its bit path and rebuilds each node's arm from it."""
+    path = []
+    for _ in range(meta.depth):
+        mean = stage_mean(meta.internal_arm_of(path), n_node)
+        path.append(1 if mean >= 0.5 else 0)
+    leaf = 0
+    for bit in path:
+        leaf = 2 * leaf + bit
+    best_arm, best = -1, -math.inf
+    for arm in meta.bucket_arms_of(leaf):
+        estimate = stage_mean(arm, n_leaf)
+        if estimate > best:
+            best_arm, best = arm, estimate
+    return leaf, best_arm
+
+
+@pytest.mark.parametrize("depth, bucket_size", [(1, 1), (2, 3), (3, 2), (5, 1), (6, 2)])
+def test_descend_tree_walks_the_heap_like_a_path_walk(depth, bucket_size):
+    fclass, meta = make_tree_class(depth, bucket_size)
+    for f in range(meta.n_functions):
+        walks = []
+        for descend in (descend_tree, path_descend_tree):
+            calls = []
+
+            def stage_mean(arm, count):  # steers to f's leaf and bucket arm
+                calls.append((arm, count))
+                return fclass.means[f, arm]
+
+            walks.append((descend(meta, stage_mean, 7, 3), calls))
+        assert walks[0] == walks[1]
+        assert walks[0][0] == (meta.leaf_of_function(f), meta.optimal_arm_of(f))
+        assert len(walks[0][1]) == depth + bucket_size
 
 
 def test_tree_descent_bernoulli_succeeds_whp():
