@@ -7,13 +7,15 @@ lower-bound constructions, and ``discretize`` builds the histogram
 approximation of a Gaussian reward density.
 
 All emitted JSON carries ``"meta": {"log_base": "natural"}``: every sample
-count and confidence bound in this package uses natural logarithms.
+count and confidence bound in this package uses natural logarithms.  It is
+strict JSON: a document holding NaN or an infinity is refused, not printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,7 +65,7 @@ def _load_json(path: str) -> dict:
 def _emit(doc: dict, out_path: str | None) -> None:
     doc = dict(doc)
     doc["meta"] = META
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)
@@ -79,6 +81,9 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_dec(args) -> int:
+    if math.isinf(args.eps):
+        raise ValueError(
+            f"eps must be finite, got {args.eps}; any eps >= 1 selects the full class")
     fclass, _ = build_function_class(_load_json(args.config))
     if args.anchors in ("vertices", "vertices+midpoints"):
         if args.sup:
@@ -188,6 +193,11 @@ def _cmd_discretize(args) -> int:
     doc = _merged(args, DISCRETIZE_FIELDS)
     mu, sigma, eps = doc["mu"], doc["sigma"], doc["eps"]
     hist = make_gaussian_histogram(mu, sigma, eps)
+    # a wider step would skip buckets, so the quadrature would miss their error
+    width = float(np.diff(hist.breakpoints[1:-1]).min())
+    if not doc["step"] <= width:
+        raise ValueError(
+            f"step {doc['step']:g} is wider than the narrowest histogram bucket ({width:.4g})")
     tv = tv_distance(hist, GaussianDensity(mu, sigma), step=doc["step"])
     _emit(
         {

@@ -699,9 +699,9 @@ class Transcript:
 
 
 def gap_matrix(fclass: FunctionClass, alpha: float) -> np.ndarray:
-    """Binary matrix marking which arms are alpha-optimal under each function.
+    """0/1 float matrix marking which arms are alpha-optimal under each function.
 
-    Entry [f, a] is 1 iff max_a' means[f, a'] - means[f, a] <= alpha
+    Entry [f, a] is 1.0 iff max_a' means[f, a'] - means[f, a] <= alpha
     (non-strict).  Every row contains at least one 1 because the row maximum
     itself has gap zero.
     """
@@ -709,5 +709,5 @@ def gap_matrix(fclass: FunctionClass, alpha: float) -> np.ndarray:
         raise ValueError("alpha must lie in (0, 1]")
     means = fclass.means
     gaps = means.max(axis=1, keepdims=True) - means
-    return (gaps <= alpha).astype(np.int8)
+    return np.less_equal(gaps, alpha, out=gaps)  # in place: no bool or int copy
 

@@ -172,7 +172,7 @@ def _dec_search(fclass: FunctionClass, eps: float, alpha: float, resolution: flo
         raise ValueError("eps must be >= 0")
     if not 0.0 < resolution < 1.0:
         raise ValueError("resolution must lie in (0, 1)")
-    B = gap_matrix(fclass, alpha).astype(float)
+    B = gap_matrix(fclass, alpha)
     n_arms = fclass.n_arms
     report = partial(
         DecResult,

@@ -325,8 +325,8 @@ def make_gaussian_histogram(mu: float, sigma: float, eps: float) -> PiecewiseUni
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if eps < MIN_DISCRETIZER_EPS:
@@ -362,8 +362,8 @@ def tv_distance(dist_a, dist_b, step: float = 1e-3) -> float:
     covers all but 1e-6 of both masses.  Both arguments must expose
     ``density(x)`` and ``coverage_interval(tail)``.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     lo_a, hi_a = dist_a.coverage_interval(1e-6)
     lo_b, hi_b = dist_b.coverage_interval(1e-6)
     lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)

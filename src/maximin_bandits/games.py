@@ -183,7 +183,7 @@ def gamma(fclass: FunctionClass, alpha: float) -> GammaCertificate:
     Always positive for a finite class: the uniform mixture covers every
     function with probability at least 1/arms.
     """
-    B = gap_matrix(fclass, alpha).astype(float)
+    B = gap_matrix(fclass, alpha)
     sol = solve_maximin(B)
     coverage = B @ sol.p.probs
     cert = GammaCertificate(
@@ -211,7 +211,7 @@ def verify_certificate(fclass: FunctionClass, alpha: float, cert) -> bool:
     the dual weights no arm attains coverage > value + tolerance.  Together
     (b) and (c) bracket the game value within 2 * tolerance.
     """
-    B = gap_matrix(fclass, alpha).astype(float)
+    B = gap_matrix(fclass, alpha)
     p = _as_probs(cert.p_star)
     lam = _as_probs(cert.dual_weights)
     if p.shape != (fclass.n_arms,) or lam.shape != (fclass.n_functions,):

@@ -217,28 +217,28 @@ EXPERIMENT_KEYS = tuple(f.metadata.get("key", f.name) for f in fields(Experiment
 
 
 def _dispatch_empirical_mean(ctx, model, seed):
-    return run_empirical_mean_learner(ctx.fclass, ctx.config.params, model, seed, cert=ctx.cert)
+    return run_empirical_mean_learner(ctx.config.params, model, seed, cert=ctx.cert)
 
 
 def _dispatch_mom(ctx, model, seed):
-    return run_median_of_means_learner(ctx.fclass, ctx.config.params, model, seed, cert=ctx.cert)
+    return run_median_of_means_learner(ctx.config.params, model, seed, cert=ctx.cert)
 
 
 def _dispatch_tree(ctx, model, seed):
     if ctx.meta is None:
         raise ValueError("tree-descent requires a tree-constructed class")
-    return run_tree_descent(ctx.meta, ctx.fclass, ctx.config.params, model, seed)
+    return run_tree_descent(ctx.meta, ctx.config.params, model, seed)
 
 
 def _dispatch_non_adaptive(ctx, model, seed):
     params = ctx.config.params
     if params.budget is None:
         raise ValueError("non-adaptive-uniform requires params.budget")
-    return run_non_adaptive_uniform(ctx.fclass, params.budget, params.reps_per_arm, model, seed)
+    return run_non_adaptive_uniform(params.budget, params.reps_per_arm, model, seed)
 
 
 def _dispatch_e2d(ctx, model, seed):
-    return run_e2d(ctx.fclass, ctx.config.params, model, seed)
+    return run_e2d(ctx.config.params, model, seed)
 
 
 _DISPATCH = {
@@ -451,7 +451,7 @@ def certify_lower_bound(
         budget = max(budget, used)
 
     p_hat = ArmDistribution(counts / trials)
-    coverage = gap_matrix(fclass, alpha).astype(float) @ p_hat.probs
+    coverage = gap_matrix(fclass, alpha) @ p_hat.probs
     worst = int(np.argmin(coverage))
     bound = (1.0 - delta) * 2.0 ** (-budget)
     slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
@@ -600,21 +600,35 @@ def _apply_override(node: dict, dotted: str, value) -> None:
     node[last] = value
 
 
-def _check_grid_path(dotted: str) -> None:
-    """Raise ValueError unless each step of ``dotted`` names a field of the
-    experiment dataclasses, set or left at its default, and each step before
-    the last is an object.  Keys inside a free-form object (``class``, whose
-    keys depend on its form) are left to the cells."""
+def _check_grid_path(dotted: str) -> type:
+    """The type of the field ``dotted`` names.  Raise ValueError unless each
+    step of ``dotted`` names a field of the experiment dataclasses, set or
+    left at its default, and each step before the last is an object.  Keys
+    inside a free-form object (``class``, whose keys depend on its form) are
+    left to the cells, and their type is ``dict``."""
     kind, parent, prefix = ExperimentConfig, None, "grid."
     for part in dotted.split("."):
         if kind is dict:
-            return
+            return dict
         if not is_dataclass(kind):
             raise ValueError(f"grid.{dotted} goes through {parent}, which is not an object")
         keys, specs = _json_fields(kind)
         check_keys({part: None}, keys, "grid key", prefix)
         kind = specs[keys.index(part)][2]
         parent, prefix = part, f"{prefix}{part}."
+    return kind
+
+
+def _grid_cell(kind: type, value, name: str):
+    """A grid value as its column writes it: converted by ``config_number``
+    for an int or float field, and as given otherwise or if it does not
+    convert."""
+    if kind in (int, float):
+        try:
+            return config_number(value, kind, name)
+        except ValueError:
+            pass
+    return value
 
 
 def sweep(config: ExperimentConfig) -> SweepResult:
@@ -627,8 +641,10 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     ``experiment_id``; a failing cell records its error and the sweep
     continues.  A grid value that is not a list, a path step that names no
     field, or a path through a value that is not an object, raises
-    ValueError before any cell runs.  The cell table is written as CSV to
-    ``config.out_path`` when it is set.
+    ValueError before any cell runs.  The cell table has one column per
+    grid key (``trials`` included), each value written as
+    :func:`_grid_cell` converts it; it is written as CSV to
+    ``config.out_path`` when that is set.
     """
     if not config.grid:
         raise ValueError("sweep requires a parameter grid")
@@ -640,12 +656,13 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     keys = sorted(config.grid)
     # each cell is the base experiment without its grid and its out path
     base = json.dumps(to_json(replace(config, grid=None, out_path=None)))
+    kinds = {}
     for key in keys:  # a bad grid fails here, before any cell runs
         config_value(config.grid[key], list, f"grid.{key}")
-        _check_grid_path(key)
+        kinds[key] = _check_grid_path(key)
         _apply_override(json.loads(base), key, None)
-    columns = ["experiment_id", *keys, "trials", "success_rate", "mean_queries",
-               "half_width99", "gamma", "error"]
+    columns = list(dict.fromkeys(["experiment_id", *keys, "trials", "success_rate",
+                                  "mean_queries", "half_width99", "gamma", "error"]))
     cells = []
     for idx, values in enumerate(itertools.product(*(config.grid[k] for k in keys))):
         doc = json.loads(base)
@@ -653,7 +670,7 @@ def sweep(config: ExperimentConfig) -> SweepResult:
         doc["experiment_id"] = f"{config.experiment_id or 'sweep'}-cell{idx}"
         cell = {col: "" for col in columns}
         cell.update({"experiment_id": doc["experiment_id"], "trials": config.trials})
-        cell.update(dict(zip(keys, values)))
+        cell.update({key: _grid_cell(kinds[key], value, key) for key, value in zip(keys, values)})
         try:
             for key, value in zip(keys, values):
                 _apply_override(doc, key, value)

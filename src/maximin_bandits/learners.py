@@ -18,9 +18,10 @@ Four strategies, all emitting full interaction transcripts:
 Plus :func:`run_non_adaptive_uniform`, the fixed-schedule baseline the tree
 class defeats.
 
-Every learner is a pure function of its arguments and an integer seed; the
-query schedule of the coverage-sampling learners depends on the class and
-parameters only, never on observed rewards.
+Every learner is a pure function of its arguments and an integer seed, and
+reads its function class from its model; the query schedule of the
+coverage-sampling learners depends on the class and parameters only, never
+on observed rewards.
 """
 
 from __future__ import annotations
@@ -115,13 +116,6 @@ class LearnerParams:
     from_json = classmethod(partial(from_json, prefix="params."))
 
 
-def _check_model(fclass: FunctionClass, model: Model) -> None:
-    if model.function_class is fclass:
-        return
-    if not np.array_equal(model.function_class.means, fclass.means):
-        raise ValueError("model was built from a different function class")
-
-
 def _draw_count(gamma: float, delta: float) -> int:
     """Witness draws m = ceil(ln(2/delta) / gamma) of a coverage-sampling phase."""
     if gamma <= 0.0:
@@ -148,7 +142,6 @@ def _coverage_sampling(model: Model, p: ArmDistribution, m: int, n_per: int,
 
 
 def run_empirical_mean_learner(
-    fclass: FunctionClass,
     params: LearnerParams,
     model: Model,
     seed: int,
@@ -161,13 +154,12 @@ def run_empirical_mean_learner(
     times, and returns the arm (among those drawn) with the largest empirical
     mean.  The total query count m * per_arm is fixed before the first reward
     is seen.  A precomputed certificate may be passed to skip the LP solve;
-    it must be the alpha/2 certificate for this class.
+    it must be the alpha/2 certificate for the model's class.
     """
-    _check_model(fclass, model)
     if not model.noise.bounded:
         raise ValueError("empirical-mean learner requires rewards bounded in [0, 1]")
     if cert is None:
-        cert = games.gamma(fclass, params.alpha / 2.0)
+        cert = games.gamma(model.function_class, params.alpha / 2.0)
     m = _draw_count(cert.value, params.delta)
     n_per = chernoff_sample_count(params.alpha, params.delta, m)
     drawn, rewards, winner = _coverage_sampling(
@@ -184,7 +176,6 @@ def run_empirical_mean_learner(
 
 
 def run_median_of_means_learner(
-    fclass: FunctionClass,
     params: LearnerParams,
     model: Model,
     seed: int,
@@ -196,7 +187,6 @@ def run_median_of_means_learner(
     queried ceil(16 c_m sigma^2 ln(2m/delta) / alpha^2) times and estimated by
     the median of ceil(ln(2/delta)) consecutive group means.
     """
-    _check_model(fclass, model)
     if params.sigma is None:
         raise ValueError("median-of-means learner requires params.sigma")
     worst_var = max(
@@ -206,7 +196,7 @@ def run_median_of_means_learner(
         raise ValueError("model reward variance exceeds the declared sigma^2")
 
     if cert is None:
-        cert = games.gamma(fclass, params.alpha / 2.0)
+        cert = games.gamma(model.function_class, params.alpha / 2.0)
     m = _draw_count(cert.value, params.delta)
     n_per = median_of_means_sample_count(params.alpha, params.delta, m, params.sigma)
     groups = mom_groups(params.delta)
@@ -252,7 +242,6 @@ def descend_tree(meta: TreeMeta, stage_mean, n_node: int, n_leaf: int) -> tuple[
 
 def run_tree_descent(
     meta: TreeMeta,
-    fclass: FunctionClass,
     params: LearnerParams,
     model: Model,
     seed: int,
@@ -266,8 +255,7 @@ def run_tree_descent(
     empirical mean wins.  Total queries are d * node_count +
     bucket_size * leaf_count, logarithmic in the class size.
     """
-    _check_model(fclass, model)
-    if fclass.n_arms != meta.n_arms or fclass.n_functions != meta.n_functions:
+    if model.function_class.means.shape != (meta.n_functions, meta.n_arms):
         raise ValueError("function class does not match the tree geometry")
     if model.noise.kind not in ("deterministic", "bernoulli"):
         raise ValueError("tree descent expects deterministic or Bernoulli rewards")
@@ -276,17 +264,17 @@ def run_tree_descent(
     n_leaf = chernoff_sample_count(params.alpha, params.delta, stages)
 
     rng = np.random.default_rng(seed)
-    stages: list[tuple[int, int]] = []
+    stage_log: list[tuple[int, int]] = []
     rewards_chunks: list[np.ndarray] = []
 
     def stage_mean(arm: int, count: int) -> float:
         block = sample_rewards(model, arm, count, rng)
-        stages.append((arm, count))
+        stage_log.append((arm, count))
         rewards_chunks.append(block)
         return block.sum() / count  # the division np.mean does
 
     leaf, winner = descend_tree(meta, stage_mean, n_node, n_leaf)
-    arms, counts = zip(*stages)
+    arms, counts = zip(*stage_log)
     return Transcript(
         learner_name="tree-descent",
         seed=seed,
@@ -299,7 +287,6 @@ def run_tree_descent(
 
 
 def run_non_adaptive_uniform(
-    fclass: FunctionClass,
     budget: int,
     reps_per_arm: int,
     model: Model,
@@ -312,14 +299,13 @@ def run_non_adaptive_uniform(
     the queried arm with the best pooled mean (least index on ties; arm 0 if
     the budget is zero).
     """
-    _check_model(fclass, model)
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if reps_per_arm < 1:
         raise ValueError("reps_per_arm must be >= 1")
     check_entries(f"schedule of {budget} positions x {reps_per_arm} queries", budget, reps_per_arm)
     rng = np.random.default_rng(seed)
-    n_arms = fclass.n_arms
+    n_arms = model.function_class.n_arms
     # the whole schedule is committed here, before the first reward
     positions = rng.integers(0, n_arms, size=budget)
     rewards = sample_rewards(model, positions, reps_per_arm, rng)
@@ -428,7 +414,7 @@ def est_bound(n_functions: int, delta: float) -> float:
     return 4.0 * math.log(n_functions) + 16.0 * math.log(2.0 / delta)
 
 
-def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
+def _explore(model, fixed, eps_bar, half_alpha, J, rng):
     """e2d's J exploration rounds: their arms and rewards, and the list of
     each round's search (``fixed``, the one search of eps_bar >= 1, repeated
     when it serves every round).
@@ -453,9 +439,9 @@ def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
             rewards = _rewards_from_uniforms(model.noise, rewards, u[:, 1])
         return arms, rewards, [fixed] * J
 
-    oracle = OnlineRegressionOracle(fclass)
+    oracle = OnlineRegressionOracle(model.function_class)
     if fixed is None:  # one search, and one inner-game cache, for every round
-        search = _dec_search(fclass, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
+        search = _dec_search(model.function_class, eps_bar, half_alpha, E2D_SEARCH_RESOLUTION)
     searches = []
     arms = np.empty(J, dtype=np.int64)
     rewards = np.empty(J)
@@ -472,7 +458,6 @@ def _explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
 
 
 def run_e2d(
-    fclass: FunctionClass,
     params: LearnerParams,
     model: Model,
     seed: int,
@@ -515,7 +500,7 @@ def run_e2d(
     matmuls, one vector product per row, which keep the bits of the
     step-by-step oracle; a plain 2-D matmul would not.
     """
-    _check_model(fclass, model)
+    fclass = model.function_class
     if params.horizon is None:
         raise ValueError("e2d learner requires params.horizon")
     L = math.ceil(math.log2(4.0 / params.delta))
@@ -526,7 +511,7 @@ def run_e2d(
     half_alpha = params.alpha / 2.0
     bound = est_bound(fclass.n_functions, params.delta / (4.0 * L))
     eps_bar = 8.0 * math.sqrt(L / params.horizon * bound)
-    B_half = gap_matrix(fclass, half_alpha).astype(float)
+    B_half = gap_matrix(fclass, half_alpha)
     true_means = model.true_means
 
     rng = np.random.default_rng(seed)
@@ -539,7 +524,7 @@ def run_e2d(
                    eps_bar, half_alpha, E2D_SEARCH_RESOLUTION) if eps_bar >= 1.0 else None
 
     explore_arms, explore_rewards, searches = _explore(
-        fclass, model, fixed, eps_bar, half_alpha, J, rng)
+        model, fixed, eps_bar, half_alpha, J, rng)
     arms_chunks.append(explore_arms)
     rewards_chunks.append(explore_rewards)
     picked_rounds = rng.integers(0, J, size=L)

@@ -276,7 +276,7 @@ def test_criterion_06_adaptivity():
         fclass, meta = make_tree_class(int(depth), 1)
         params = LearnerParams(alpha=0.2, delta=0.1)
         model = Model(fclass, 0, NoiseSpec.deterministic())
-        transcript = run_tree_descent(meta, fclass, params, model, seed=int(depth))
+        transcript = run_tree_descent(meta, params, model, seed=int(depth))
         queries.append(transcript.total_queries)
     c2, c1, _ = np.polyfit(depths, np.array(queries, dtype=float), 2)
     linear_growth = c1 > 0 and abs(c2) * depths[-1] ** 2 <= 0.05 * queries[-1]
@@ -440,7 +440,7 @@ def test_criterion_10_e2d():
         model_rng = np.random.default_rng(trial_seed(ts, 0))
         true_f = int(model_rng.integers(fclass.n_functions))
         model = Model(fclass, true_f, NoiseSpec.bernoulli())
-        transcript = run_e2d(fclass, params, model, trial_seed(ts, 1))
+        transcript = run_e2d(params, model, trial_seed(ts, 1))
         est_ok += transcript.meta["est_error"] <= transcript.meta["est_bound"]
     est_rate = est_ok / 200
 

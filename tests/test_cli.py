@@ -473,6 +473,7 @@ def test_sweep_writes_a_cell_over_the_cap(capsys, tmp_path):
     ("1e-170", PrecisionError, "bucket count inf outside supported range"),
     ("1e300", PrecisionError, "bucket count inf outside supported range"),
     ("1e6", CapacityError, "quadrature grid of 1.59199e+10 points exceeds the cap"),
+    ("inf", ValueError, "sigma must be positive and finite"),
 ])
 def test_discretize_refuses_an_extreme_sigma(sigma, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -522,7 +523,47 @@ def test_sweep_writes_a_cell_with_too_many_trials(capsys, tmp_path):
     code, _ = run_cli(capsys, ["sweep", "--config", cfg, "--out", str(out)])
     assert code == 0
     cells = list(csv.DictReader(out.read_text().splitlines()))
-    assert [cell["trials"] for cell in cells] == ["2", "1000000000000.0"]
+    assert [cell["trials"] for cell in cells] == ["2", "1000000000000"]
     assert (cells[0]["success_rate"], cells[0]["error"]) == ("1.0", "")
     assert cells[1]["success_rate"] == ""
     assert "run of 1000000000000 trial records exceeds the cap" in cells[1]["error"]
+
+
+def test_sweep_writes_a_trials_grid_once_and_as_it_runs(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = write_json(tmp_path / "sweep.json", {**RUN_DOC, "grid": {"trials": [2, 3.0]}})
+    code, _ = run_cli(capsys, ["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    header, *rows = out.read_text().splitlines()
+    assert header.split(",").count("trials") == 1
+    cells = list(csv.DictReader([header, *rows]))
+    assert [cell["trials"] for cell in cells] == ["2", "3"]
+    assert [cell["error"] for cell in cells] == ["", ""]
+
+
+def test_sweep_writes_class_keys_and_unconvertible_values_as_given(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    doc = {**RUN_DOC, "trials": 2, "grid": {"params.alpha": [0.3, "x"], "class.depth": [2.0]}}
+    code, _ = run_cli(capsys, ["sweep", "--config", write_json(tmp_path / "s.json", doc),
+                               "--out", str(out)])
+    assert code == 0
+    cells = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(cell["params.alpha"], cell["class.depth"]) for cell in cells] == [("0.3", "2.0"),
+                                                                              ("x", "2.0")]
+    assert cells[0]["error"] == ""
+    assert "params.alpha must be a number" in cells[1]["error"]
+
+
+def test_dec_command_refuses_an_infinite_eps(capsys, k3_class):
+    with pytest.raises(ValueError, match="eps must be finite, got inf"):
+        main(["dec", "--config", k3_class, "--eps", "inf", "--alpha", "0.3"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("step", ["40", "10", "inf"])
+def test_discretize_refuses_a_step_wider_than_a_bucket(capsys, step):
+    # at the defaults each of the 59 interior buckets is 0.0834 wide
+    message = f"step {step} is wider than the narrowest histogram bucket (0.08339)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["discretize", "--step", step])
+    assert capsys.readouterr().out == ""

@@ -289,6 +289,16 @@ def test_histogram_rejects_bad_mu_sigma():
         make_gaussian_histogram(1.5, 1.0, 0.1)
     with pytest.raises(ValueError):
         make_gaussian_histogram(0.5, -1.0, 0.1)
+    for sigma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            make_gaussian_histogram(0.5, sigma, 0.1)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+def test_tv_distance_requires_a_finite_positive_step(step):
+    g = GaussianDensity(0.3, 0.7)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        tv_distance(g, g, step=step)
 
 
 def test_tv_distance_identical_zero():

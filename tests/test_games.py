@@ -1,9 +1,11 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maximin_bandits import games
 from maximin_bandits.core import FunctionClass, gap_matrix, to_json
 from maximin_bandits.games import (
     GammaCertificate,
@@ -348,6 +350,31 @@ def test_verify_certificate_rejects_wrong_shape():
         tolerance=cert.tolerance,
     )
     assert not verify_certificate(fc, 0.5, forged)
+
+
+@pytest.mark.parametrize("field", ["p_star", "dual_weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_certificate_rejects_a_non_finite_mixture(field, bad):
+    fc = make_k_armed(3)
+    cert = gamma(fc, 0.5)
+    forged = replace(cert, **{field: np.array([bad, 0.5, 0.5])})
+    assert not verify_certificate(fc, 0.5, forged)
+
+
+def test_verify_certificate_rejects_a_dual_above_the_value():
+    # p_star still covers every function with 1/3, but the dual's point mass
+    # on function 0 lets arm 0 cover it with probability 1 > 1/3 + tolerance
+    fc = make_k_armed(3)
+    cert = gamma(fc, 0.5)
+    assert float((gap_matrix(fc, 0.5) @ cert.p_star.probs).min()) >= cert.value - cert.tolerance
+    forged = replace(cert, dual_weights=np.array([1.0, 0.0, 0.0]))
+    assert not verify_certificate(fc, 0.5, forged)
+
+
+def test_gamma_raises_on_an_unverifiable_certificate(monkeypatch):
+    monkeypatch.setattr(games, "verify_certificate", lambda fclass, alpha, cert: False)
+    with pytest.raises(RuntimeError, match="unverifiable certificate"):
+        gamma(make_k_armed(3), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -127,17 +127,17 @@ def run_transcript(name: str):
     if learner == "tree-descent":
         fclass, meta = make_tree_class(3, 2)
         model = Model(fclass, 5, NOISES[kind])
-        return run_tree_descent(meta, fclass, LearnerParams(alpha=0.2, delta=0.1), model, seed=24)
+        return run_tree_descent(meta, LearnerParams(alpha=0.2, delta=0.1), model, seed=24)
     fclass = FunctionClass(MEANS)
     model = Model(fclass, 2, NOISES[kind])
     params = LearnerParams(alpha=0.2, delta=0.05, sigma=0.3, horizon=400)
     if learner == "empirical-mean":
-        return run_empirical_mean_learner(fclass, params, model, seed=21)
+        return run_empirical_mean_learner(params, model, seed=21)
     if learner == "median-of-means":
-        return run_median_of_means_learner(fclass, params, model, seed=22)
+        return run_median_of_means_learner(params, model, seed=22)
     if learner == "non-adaptive-uniform":
-        return run_non_adaptive_uniform(fclass, 30, 3, model, seed=23)
-    return run_e2d(fclass, params, model, seed=25)
+        return run_non_adaptive_uniform(30, 3, model, seed=23)
+    return run_e2d(params, model, seed=25)
 
 
 #: learner:noise -> sha256 of the transcript's arms, rewards and output arm
@@ -200,11 +200,11 @@ def e2d_meta_run(name: str):
         # delta 0.9 and T = 12000 put eps_bar near 0.94: a search every round
         fclass = make_k_armed(2)
         params = LearnerParams(alpha=0.2, delta=0.9, horizon=12000)
-        return run_e2d(fclass, params, Model(fclass, 0, NoiseSpec.bernoulli()), seed=7)
+        return run_e2d(params, Model(fclass, 0, NoiseSpec.bernoulli()), seed=7)
     if name == "tree-d3-bernoulli":
         fclass, _ = make_tree_class(3, 1)
         params = LearnerParams(alpha=0.2, delta=0.2, horizon=400)
-        return run_e2d(fclass, params, Model(fclass, 5, NoiseSpec.bernoulli()), seed=26)
+        return run_e2d(params, Model(fclass, 5, NoiseSpec.bernoulli()), seed=26)
     return run_transcript(name)
 
 
@@ -359,19 +359,35 @@ GOLDEN_COMMANDS = {
 }
 
 
-def command_digest(tmp_path, monkeypatch, capsys, name) -> str:
+def command_outputs(tmp_path, monkeypatch, capsys, name) -> tuple[bytes, bytes | None]:
+    """What the command printed, and the file it wrote to ``--out`` (if any)."""
     argv, doc, _ = GOLDEN_COMMANDS[name]
     monkeypatch.chdir(tmp_path)
     if doc is not None:
         (tmp_path / "config.json").write_text(json.dumps(doc))
         argv = [*argv, "--config", "config.json"]
     assert main(argv) == 0
-    payload = capsys.readouterr().out.encode()
+    printed = capsys.readouterr().out.encode()
     if "--out" in argv:
-        payload = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
-    return hashlib.sha256(payload).hexdigest()
+        return printed, (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+    return printed, None
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_command_output_matches_pinned_digest(tmp_path, monkeypatch, capsys, name):
-    assert command_digest(tmp_path, monkeypatch, capsys, name) == GOLDEN_COMMANDS[name][2]
+    printed, written = command_outputs(tmp_path, monkeypatch, capsys, name)
+    payload = printed if written is None else written
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN_COMMANDS[name][2]
+
+
+def refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, case in GOLDEN_COMMANDS.items()
+                                        if case[0][0] != "sweep"))
+def test_command_json_output_is_strict_json(tmp_path, monkeypatch, capsys, name):
+    # RFC 8259 has no NaN or Infinity; a strict parser refuses them
+    for payload in command_outputs(tmp_path, monkeypatch, capsys, name):
+        if payload:
+            json.loads(payload, parse_constant=refuse_constant)

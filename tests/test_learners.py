@@ -92,7 +92,7 @@ def test_empirical_mean_frozen_schedule():
     fclass = make_singletons(4)
     params = LearnerParams(alpha=0.5, delta=0.25)
     model = Model(fclass, 1, NoiseSpec.bernoulli())
-    t = run_empirical_mean_learner(fclass, params, model, seed=0)
+    t = run_empirical_mean_learner(params, model, seed=0)
     # gamma(alpha/2) = 1/4 -> m = ceil(4 ln 8) = 9; per-arm = ceil(32 ln 144) = 160
     assert t.meta["m"] == 9
     assert t.meta["per_arm"] == 160
@@ -103,10 +103,10 @@ def test_empirical_mean_schedule_is_reward_independent():
     fclass = make_singletons(4)
     params = LearnerParams(alpha=0.5, delta=0.25)
     t_a = run_empirical_mean_learner(
-        fclass, params, Model(fclass, 0, NoiseSpec.bernoulli()), seed=33
+        params, Model(fclass, 0, NoiseSpec.bernoulli()), seed=33
     )
     t_b = run_empirical_mean_learner(
-        fclass, params, Model(fclass, 3, NoiseSpec.bernoulli()), seed=33
+        params, Model(fclass, 3, NoiseSpec.bernoulli()), seed=33
     )
     np.testing.assert_array_equal(t_a.arms, t_b.arms)
 
@@ -116,7 +116,7 @@ def test_empirical_mean_succeeds_under_deterministic_noise():
     params = LearnerParams(alpha=0.3, delta=0.2)
     for f in range(5):
         model = Model(fclass, f, NoiseSpec.deterministic())
-        t = run_empirical_mean_learner(fclass, params, model, seed=f)
+        t = run_empirical_mean_learner(params, model, seed=f)
         assert t.output_arm == f
 
 
@@ -125,7 +125,7 @@ def test_empirical_mean_rejects_unbounded_noise():
     params = LearnerParams(alpha=0.3, delta=0.1)
     model = Model(fclass, 0, NoiseSpec.gaussian(1.0))
     with pytest.raises(ValueError):
-        run_empirical_mean_learner(fclass, params, model, seed=0)
+        run_empirical_mean_learner(params, model, seed=0)
 
 
 def test_empirical_mean_unlearnable_certificate_aborts_before_queries():
@@ -140,7 +140,7 @@ def test_empirical_mean_unlearnable_certificate_aborts_before_queries():
         tolerance=1e-9,
     )
     with pytest.raises(UnlearnableInstanceError):
-        run_empirical_mean_learner(fclass, params, model, seed=0, cert=forged)
+        run_empirical_mean_learner(params, model, seed=0, cert=forged)
 
 
 def test_empirical_mean_ties_break_to_least_draw_index():
@@ -148,7 +148,7 @@ def test_empirical_mean_ties_break_to_least_draw_index():
     fclass = make_k_armed(2)
     params = LearnerParams(alpha=0.9, delta=0.3)
     model = Model(fclass, 0, NoiseSpec.deterministic())
-    t = run_empirical_mean_learner(fclass, params, model, seed=5)
+    t = run_empirical_mean_learner(params, model, seed=5)
     per_arm = t.meta["per_arm"]
     block_means = t.rewards.reshape(-1, per_arm).mean(axis=1)
     best = int(np.argmax(block_means))
@@ -163,10 +163,10 @@ def test_empirical_mean_trial_allocates_no_arm_log():
     cert = gamma(fclass, params.alpha / 2.0)
     model = Model(fclass, 0, NoiseSpec.bernoulli())
     # a first trial imports numpy.random if nothing has yet; measure the second
-    run_empirical_mean_learner(fclass, params, model, seed=0, cert=cert)
+    run_empirical_mean_learner(params, model, seed=0, cert=cert)
     tracemalloc.start()
     try:
-        t = run_empirical_mean_learner(fclass, params, model, seed=0, cert=cert)
+        t = run_empirical_mean_learner(params, model, seed=0, cert=cert)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -183,14 +183,14 @@ def test_mom_learner_requires_sigma():
     params = LearnerParams(alpha=0.3, delta=0.1)
     model = Model(fclass, 0, NoiseSpec.gaussian(1.0))
     with pytest.raises(ValueError):
-        run_median_of_means_learner(fclass, params, model, seed=0)
+        run_median_of_means_learner(params, model, seed=0)
 
 
 def test_mom_learner_schedule_and_meta():
     fclass = make_k_armed(3)
     params = LearnerParams(alpha=0.3, delta=0.1, sigma=1.0)
     model = Model(fclass, 2, NoiseSpec.gaussian(1.0))
-    t = run_median_of_means_learner(fclass, params, model, seed=1)
+    t = run_median_of_means_learner(params, model, seed=1)
     assert t.meta["m"] == 9
     assert t.meta["per_arm"] == 3693
     assert t.meta["groups"] == mom_groups(0.1) == 3
@@ -202,7 +202,7 @@ def test_mom_learner_variance_contract():
     params = LearnerParams(alpha=0.3, delta=0.1, sigma=0.1)
     model = Model(fclass, 0, NoiseSpec.gaussian(1.0))  # variance 1 > 0.01
     with pytest.raises(ValueError):
-        run_median_of_means_learner(fclass, params, model, seed=0)
+        run_median_of_means_learner(params, model, seed=0)
 
 
 def test_mom_learner_rejects_schedule_smaller_than_groups():
@@ -210,7 +210,7 @@ def test_mom_learner_rejects_schedule_smaller_than_groups():
     params = LearnerParams(alpha=0.9, delta=0.1, sigma=1e-3)
     model = Model(fclass, 0, NoiseSpec.deterministic())
     with pytest.raises(ValueError):
-        run_median_of_means_learner(fclass, params, model, seed=0)
+        run_median_of_means_learner(params, model, seed=0)
 
 
 ALL_NOISES = [
@@ -252,7 +252,7 @@ def test_mom_learner_heavy_tail_success():
     fclass = make_k_armed(3)
     params = LearnerParams(alpha=0.3, delta=0.1, sigma=2.0)
     model = Model(fclass, 1, NoiseSpec.heavy_tail(2.0))
-    t = run_median_of_means_learner(fclass, params, model, seed=9)
+    t = run_median_of_means_learner(params, model, seed=9)
     assert t.output_arm == 1
 
 
@@ -264,7 +264,7 @@ def test_tree_descent_deterministic_trace():
     fclass, meta = make_tree_class(2, 1)
     params = LearnerParams(alpha=0.2, delta=0.1)
     model = Model(fclass, 2, NoiseSpec.deterministic())
-    t = run_tree_descent(meta, fclass, params, model, seed=0)
+    t = run_tree_descent(meta, params, model, seed=0)
     # stages S = 3; per-node = ceil(18 ln 120) = 87; per-leaf = ceil(200 ln 120) = 958
     assert t.meta["per_node"] == 87
     assert t.meta["per_leaf_arm"] == 958
@@ -277,7 +277,7 @@ def test_tree_descent_queries_only_on_path_and_bucket():
     fclass, meta = make_tree_class(3, 2)
     params = LearnerParams(alpha=0.2, delta=0.1)
     model = Model(fclass, meta.function_index(5, 1), NoiseSpec.deterministic())
-    t = run_tree_descent(meta, fclass, params, model, seed=0)
+    t = run_tree_descent(meta, params, model, seed=0)
     path_arms = set()
     path = meta.path_to_leaf(5)
     for level in range(meta.depth):
@@ -329,7 +329,7 @@ def test_tree_descent_bernoulli_succeeds_whp():
     for i in range(50):
         f = i % 4
         model = Model(fclass, f, NoiseSpec.bernoulli())
-        t = run_tree_descent(meta, fclass, params, model, seed=1000 + i)
+        t = run_tree_descent(meta, params, model, seed=1000 + i)
         wins += t.output_arm == meta.optimal_arm_of(f)
     assert wins >= 45
 
@@ -339,7 +339,7 @@ def test_tree_descent_rejects_unsupported_noise():
     params = LearnerParams(alpha=0.2, delta=0.1)
     model = Model(fclass, 0, NoiseSpec.gaussian(1.0))
     with pytest.raises(ValueError):
-        run_tree_descent(meta, fclass, params, model, seed=0)
+        run_tree_descent(meta, params, model, seed=0)
 
 
 def test_tree_descent_rejects_mismatched_class():
@@ -347,8 +347,8 @@ def test_tree_descent_rejects_mismatched_class():
     other = make_k_armed(7)
     params = LearnerParams(alpha=0.2, delta=0.1)
     model = Model(other, 0, NoiseSpec.deterministic())
-    with pytest.raises(ValueError):
-        run_tree_descent(meta, other, params, model, seed=0)
+    with pytest.raises(ValueError, match="tree geometry"):
+        run_tree_descent(meta, params, model, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +358,10 @@ def test_tree_descent_rejects_mismatched_class():
 def test_non_adaptive_schedule_is_reward_independent():
     fclass, _ = make_tree_class(2, 1)
     t_a = run_non_adaptive_uniform(
-        fclass, 10, 1, Model(fclass, 0, NoiseSpec.bernoulli()), seed=4
+        10, 1, Model(fclass, 0, NoiseSpec.bernoulli()), seed=4
     )
     t_b = run_non_adaptive_uniform(
-        fclass, 10, 1, Model(fclass, 3, NoiseSpec.bernoulli()), seed=4
+        10, 1, Model(fclass, 3, NoiseSpec.bernoulli()), seed=4
     )
     np.testing.assert_array_equal(t_a.arms, t_b.arms)
 
@@ -369,7 +369,7 @@ def test_non_adaptive_schedule_is_reward_independent():
 def test_non_adaptive_zero_budget_outputs_arm_zero():
     fclass = make_k_armed(3)
     t = run_non_adaptive_uniform(
-        fclass, 0, 1, Model(fclass, 2, NoiseSpec.deterministic()), seed=0
+        0, 1, Model(fclass, 2, NoiseSpec.deterministic()), seed=0
     )
     assert t.output_arm == 0
     assert t.total_queries == 0
@@ -378,7 +378,7 @@ def test_non_adaptive_zero_budget_outputs_arm_zero():
 def test_non_adaptive_reps_multiply_queries():
     fclass = make_k_armed(4)
     t = run_non_adaptive_uniform(
-        fclass, 5, 3, Model(fclass, 1, NoiseSpec.bernoulli()), seed=2
+        5, 3, Model(fclass, 1, NoiseSpec.bernoulli()), seed=2
     )
     assert t.total_queries == 15
 
@@ -386,7 +386,7 @@ def test_non_adaptive_reps_multiply_queries():
 def test_non_adaptive_outputs_best_queried_arm():
     fclass = make_k_armed(4)
     model = Model(fclass, 2, NoiseSpec.deterministic())
-    t = run_non_adaptive_uniform(fclass, 12, 1, model, seed=8)
+    t = run_non_adaptive_uniform(12, 1, model, seed=8)
     queried = set(np.unique(t.arms))
     if 2 in queried:
         assert t.output_arm == 2
@@ -398,7 +398,7 @@ def test_non_adaptive_rejects_negative_budget():
     fclass = make_k_armed(2)
     with pytest.raises(ValueError):
         run_non_adaptive_uniform(
-            fclass, -1, 1, Model(fclass, 0, NoiseSpec.bernoulli()), seed=0
+            -1, 1, Model(fclass, 0, NoiseSpec.bernoulli()), seed=0
         )
 
 
@@ -487,7 +487,7 @@ def test_e2d_requires_horizon():
     params = LearnerParams(alpha=0.2, delta=0.2)
     model = Model(fclass, 0, NoiseSpec.bernoulli())
     with pytest.raises(ValueError):
-        run_e2d(fclass, params, model, seed=0)
+        run_e2d(params, model, seed=0)
 
 
 def test_e2d_requires_enough_rounds():
@@ -495,14 +495,14 @@ def test_e2d_requires_enough_rounds():
     params = LearnerParams(alpha=0.2, delta=0.2, horizon=3)  # L+1 = 6 > 3
     model = Model(fclass, 0, NoiseSpec.bernoulli())
     with pytest.raises(ValueError):
-        run_e2d(fclass, params, model, seed=0)
+        run_e2d(params, model, seed=0)
 
 
 def test_e2d_phase_accounting_and_meta():
     fclass, meta = make_tree_class(2, 1)
     params = LearnerParams(alpha=0.2, delta=0.2, horizon=400)
     model = Model(fclass, 2, NoiseSpec.bernoulli())
-    t = run_e2d(fclass, params, model, seed=11)
+    t = run_e2d(params, model, seed=11)
     L, J = t.meta["L"], t.meta["J"]
     assert L == math.ceil(math.log2(4 / 0.2))
     assert J == 400 // (L + 1)
@@ -518,7 +518,7 @@ def test_e2d_succeeds_under_deterministic_noise():
     params = LearnerParams(alpha=0.2, delta=0.2, horizon=400)
     for f in (0, 3):
         model = Model(fclass, f, NoiseSpec.deterministic())
-        t = run_e2d(fclass, params, model, seed=f)
+        t = run_e2d(params, model, seed=f)
         assert t.output_arm == meta.optimal_arm_of(f)
 
 
@@ -532,7 +532,7 @@ def test_e2d_dec_too_large_skips_the_final_phase(monkeypatch):
         lambda fclass, alpha: np.zeros((fclass.n_functions, fclass.n_arms), dtype=bool))
     fclass, _ = make_tree_class(2, 1)
     params = LearnerParams(alpha=0.2, delta=0.2, horizon=400)
-    t = run_e2d(fclass, params, Model(fclass, 1, NoiseSpec.bernoulli()), seed=3)
+    t = run_e2d(params, Model(fclass, 1, NoiseSpec.bernoulli()), seed=3)
     assert t.meta["error"] == "dec-too-large"
     assert t.meta["effective_gamma"] == 0.0
     assert t.total_queries == t.meta["J"] * (t.meta["L"] + 1) == 396
@@ -572,14 +572,14 @@ def test_e2d_searches_every_round_when_eps_bar_below_one(monkeypatch):
 
     monkeypatch.setattr(learners, "_dec_search", counting_dec_search)
     monkeypatch.setattr(dec, "solve_maximin", counting_solve)
-    t = run_e2d(fclass, params, model, seed=7)
+    t = run_e2d(params, model, seed=7)
     assert t.meta["eps_bar"] < 1.0
     assert len(searches) == t.meta["J"]
     # the rounds share one inner-game cache: each distinct version set is
     # solved once, and the 2-function class has only 3 nonempty ones
     assert len(solved) == len(set(solved)) <= 3
     monkeypatch.undo()
-    again = run_e2d(fclass, params, model, seed=7)
+    again = run_e2d(params, model, seed=7)
     assert again.arms.tobytes() == t.arms.tobytes()
     assert again.rewards.tobytes() == t.rewards.tobytes()
     assert again.output_arm == t.output_arm
@@ -591,7 +591,7 @@ def test_e2d_est_error_within_bound_typically():
     inside = 0
     for i in range(20):
         model = Model(fclass, i % 4, NoiseSpec.bernoulli())
-        t = run_e2d(fclass, params, model, seed=500 + i)
+        t = run_e2d(params, model, seed=500 + i)
         inside += t.meta["est_error"] <= t.meta["est_bound"]
     assert inside >= 16  # 1 - delta of trials, with slack
 
@@ -616,9 +616,10 @@ INTERIOR_MEANS = [
 ]
 
 
-def per_round_explore(fclass, model, fixed, eps_bar, half_alpha, J, rng):
+def per_round_explore(model, fixed, eps_bar, half_alpha, J, rng):
     from maximin_bandits.learners import E2D_SEARCH_RESOLUTION, dec_at
 
+    fclass = model.function_class
     oracle = OnlineRegressionOracle(fclass)
     searches = []
     explore_arms = np.empty(J, dtype=np.int64)
@@ -670,10 +671,10 @@ def test_e2d_block_exploration_matches_the_per_round_loop(monkeypatch, name, kin
     fclass, params, model = e2d_case(name, kind)
     seeds = (7,) if name == "eps-bar-below-one" else (0, 1, 2)
     for seed in seeds:
-        got = run_e2d(fclass, params, model, seed)
+        got = run_e2d(params, model, seed)
         with monkeypatch.context() as patched:
             patched.setattr(learners, "_explore", per_round_explore)
-            want = run_e2d(fclass, params, model, seed)
+            want = run_e2d(params, model, seed)
         assert (got.meta["eps_bar"] >= 1.0) == (name != "eps-bar-below-one")
         assert_same_run(got, want)
 
@@ -687,8 +688,8 @@ def test_e2d_searching_exploration_matches_the_per_round_loop(kind):
     model = Model(fclass, 1, NOISES[kind])
     for seed in (3, 4):
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _explore(fclass, model, None, 0.94, 0.1, 60, rngs[0])
-        want = per_round_explore(fclass, model, None, 0.94, 0.1, 60, rngs[1])
+        got = _explore(model, None, 0.94, 0.1, 60, rngs[0])
+        want = per_round_explore(model, None, 0.94, 0.1, 60, rngs[1])
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         for a, b in zip(got[2], want[2], strict=True):
@@ -719,7 +720,7 @@ def test_e2d_fixed_search_draws_do_not_grow_with_the_horizon(monkeypatch):
     counts = []
     for horizon in (400, 4000):
         calls.clear()
-        t = run_e2d(fclass, LearnerParams(alpha=0.2, delta=0.2, horizon=horizon), model, seed=5)
+        t = run_e2d(LearnerParams(alpha=0.2, delta=0.2, horizon=horizon), model, seed=5)
         assert t.meta["eps_bar"] >= 1.0 and "m" in t.meta
         counts.append(len(calls))
     # per branch one arm block and one reward block, then the final phase's
