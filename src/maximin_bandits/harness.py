@@ -47,8 +47,10 @@ from .learners import (
     run_e2d,
     run_empirical_mean_learner,
     run_median_of_means_learner,
-    run_non_adaptive_uniform,
-    run_tree_descent,
+    run_non_adaptive_uniform,  # noqa: F401  (perfbench traces calls made through this name)
+    run_non_adaptive_uniform_trials,
+    run_tree_descent,  # noqa: F401  (perfbench traces calls made through this name)
+    run_tree_descent_trials,
 )
 
 __all__ = [
@@ -224,29 +226,59 @@ def _dispatch_mom(ctx, model, seed):
     return run_median_of_means_learner(ctx.config.params, model, seed, cert=ctx.cert)
 
 
-def _dispatch_tree(ctx, model, seed):
-    if ctx.meta is None:
-        raise ValueError("tree-descent requires a tree-constructed class")
-    return run_tree_descent(ctx.meta, ctx.config.params, model, seed)
-
-
-def _dispatch_non_adaptive(ctx, model, seed):
-    params = ctx.config.params
-    if params.budget is None:
-        raise ValueError("non-adaptive-uniform requires params.budget")
-    return run_non_adaptive_uniform(params.budget, params.reps_per_arm, model, seed)
-
-
 def _dispatch_e2d(ctx, model, seed):
     return run_e2d(ctx.config.params, model, seed)
 
 
+def _per_trial(dispatch):
+    """The trials entry of a learner that runs one trial at a time:
+    ``dispatch(ctx, model, seed) -> Transcript`` on each trial's model, a
+    contract error tagging its own trial, and a transcript's ``error`` meta
+    read as the trial's error."""
+
+    def outcome(ctx, true_f, seed):
+        # a transcript lives only in this call, so trials never hold two
+        model = Model(ctx.fclass, true_f, ctx.config.noise)
+        try:
+            transcript = dispatch(ctx, model, seed)
+        except (ValueError, RuntimeError) as exc:
+            return 0, -1, str(exc)
+        return (transcript.total_queries, int(transcript.output_arm),
+                str(transcript.meta.get("error", "")))
+
+    def run(ctx, true_functions, seeds):
+        return [outcome(ctx, true_f, seed) for true_f, seed in zip(true_functions.tolist(), seeds)]
+
+    return run
+
+
+def _trials_tree(ctx, true_functions, seeds):
+    if ctx.meta is None:
+        raise ValueError("tree-descent requires a tree-constructed class")
+    queries, output_arms = run_tree_descent_trials(
+        ctx.meta, ctx.config.params, ctx.fclass, ctx.config.noise, true_functions, seeds)
+    return list(zip(queries.tolist(), output_arms.tolist(), itertools.repeat("")))
+
+
+def _trials_non_adaptive(ctx, true_functions, seeds):
+    params = ctx.config.params
+    if params.budget is None:
+        raise ValueError("non-adaptive-uniform requires params.budget")
+    queries, output_arms = run_non_adaptive_uniform_trials(
+        params.budget, params.reps_per_arm, ctx.fclass, ctx.config.noise, true_functions, seeds)
+    return list(zip(queries.tolist(), output_arms.tolist(), itertools.repeat("")))
+
+
+#: learner -> ``run(ctx, true_functions, seeds)``, the (queries, output arm,
+#: error) of each trial in order.  Tree descent and the non-adaptive
+#: baseline run their trials as arrays; a contract error they raise reads
+#: only the config and the class, so it fails every trial alike.
 _DISPATCH = {
-    "empirical-mean": _dispatch_empirical_mean,
-    "median-of-means": _dispatch_mom,
-    "tree-descent": _dispatch_tree,
-    "non-adaptive-uniform": _dispatch_non_adaptive,
-    "e2d": _dispatch_e2d,
+    "empirical-mean": _per_trial(_dispatch_empirical_mean),
+    "median-of-means": _per_trial(_dispatch_mom),
+    "tree-descent": _trials_tree,
+    "non-adaptive-uniform": _trials_non_adaptive,
+    "e2d": _per_trial(_dispatch_e2d),
 }
 
 #: Learners whose sampling mixture is computed at alpha/2; the others are
@@ -299,55 +331,56 @@ def _prepare_context(config: ExperimentConfig) -> _RunContext:
 def _run_trials(ctx: _RunContext, learner_stream: int = 1) -> list:
     """Every trial of ``ctx.config``, in order.  Trial i's model row comes
     from stream 0 of ``trial_seed(seed, i)`` and its learner from stream
-    ``learner_stream``; the seeds are derived in batches."""
-    master, trials = ctx.config.seed, ctx.config.trials
-    streams = zip(
-        trial_seeds(master, np.arange(trials)).tolist(),
-        generator_seeds(master, trials, 0),
-        generator_seeds(master, trials, learner_stream),
-    )
-    return [_run_trial(ctx, i, *trial) for i, trial in enumerate(streams)]
-
-
-def _run_trial(
-    ctx: _RunContext, index: int, ts: int, model_seed: int, learner_seed: int
-) -> TrialRecord:
-    """Trial ``index`` of ``ctx`` on the seeds ``_run_trials`` derived for it."""
-    config = ctx.config
+    ``learner_stream``; the seeds are derived in batches.  The learner runs
+    every trial in one call, or, when ``record_runtime`` is set, one trial
+    per timed call."""
+    config, fclass = ctx.config, ctx.fclass
+    master, trials = config.seed, config.trials
     if config.true_function is None:
-        true_f = int(np.random.default_rng(model_seed).integers(ctx.fclass.n_functions))
+        true_functions = np.array([
+            np.random.default_rng(seed).integers(fclass.n_functions)
+            for seed in generator_seeds(master, trials, 0)], dtype=np.int64)
     else:
-        true_f = int(config.true_function)
-    model = Model(ctx.fclass, true_f, config.noise)
+        true_functions = np.full(trials, int(config.true_function))
+    seeds = generator_seeds(master, trials, learner_stream)
+    if config.record_runtime:
+        calls = ((slice(i, i + 1), [seed]) for i, seed in enumerate(seeds))
+    else:
+        calls = [(slice(0, trials), seeds)]
+    run = _DISPATCH[config.learner]
+    outcomes = []  # (queries, output arm, error, runtime in ms) per trial
+    for part, part_seeds in calls:
+        started = time.perf_counter()
+        try:
+            results = run(ctx, true_functions[part], part_seeds)
+        except (ValueError, RuntimeError) as exc:
+            # contract violations surface as failed trials tagged with the reason
+            results = [(0, -1, str(exc))] * len(true_functions[part])
+        elapsed = (time.perf_counter() - started) * 1e3 if config.record_runtime else 0.0
+        outcomes.extend((*result, elapsed) for result in results)
 
-    started = time.perf_counter() if config.record_runtime else 0.0
-    try:
-        transcript = _DISPATCH[config.learner](ctx, model, learner_seed)
-    except (ValueError, RuntimeError) as exc:
-        # contract violations surface as failed trials tagged with the reason
-        queries, success, output_arm, error = 0, False, -1, str(exc)
-    else:
-        row = model.true_means
-        queries = transcript.total_queries
-        output_arm = int(transcript.output_arm)
-        success = bool(row.max() - row[output_arm] <= config.params.alpha)
-        error = str(transcript.meta.get("error", ""))
-    elapsed = (time.perf_counter() - started) * 1e3 if config.record_runtime else 0.0
-    return TrialRecord(
-        experiment_id=ctx.experiment_id,
-        seed=ts,
-        trial=index,
-        learner=config.learner,
-        class_name=ctx.fclass.family,
-        alpha=config.params.alpha,
-        delta=config.params.delta,
-        queries=queries,
-        success=success,
-        output_arm=output_arm,
-        gamma_value=ctx.gamma_value,
-        runtime_ms=elapsed,
-        error=error,
-    )
+    arms = np.array([outcome[1] for outcome in outcomes])
+    gaps = fclass.means.max(axis=1)[true_functions] - fclass.means[true_functions, arms]
+    successes = ((arms >= 0) & (gaps <= config.params.alpha)).tolist()
+    return [
+        TrialRecord(
+            experiment_id=ctx.experiment_id,
+            seed=ts,
+            trial=index,
+            learner=config.learner,
+            class_name=fclass.family,
+            alpha=config.params.alpha,
+            delta=config.params.delta,
+            queries=queries,
+            success=success,
+            output_arm=output_arm,
+            gamma_value=ctx.gamma_value,
+            runtime_ms=elapsed,
+            error=error,
+        )
+        for index, (ts, success, (queries, output_arm, error, elapsed)) in enumerate(
+            zip(trial_seeds(master, np.arange(trials)).tolist(), successes, outcomes))
+    ]
 
 
 def monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
@@ -619,10 +652,15 @@ def _check_grid_path(dotted: str) -> type:
     return kind
 
 
-def _grid_cell(kind: type, value, name: str):
+def _grid_cell(kind: type, value, name: str, class_spec):
     """A grid value as its column writes it: converted by ``config_number``
-    for an int or float field, and as given otherwise or if it does not
-    convert."""
+    for an int or float field, a class key by the type the cell's class
+    constructor (in ``class_spec``) gives that field; as given otherwise, for
+    an inline class, or if it does not convert."""
+    if kind is dict and name.startswith("class.") and isinstance(class_spec, dict) \
+            and "means" not in class_spec:
+        fields_of = _CONSTRUCTOR_FIELDS.get(class_spec.get("constructor"), {})
+        kind = fields_of.get(name.removeprefix("class."), dict)
     if kind in (int, float):
         try:
             return config_number(value, kind, name)
@@ -670,13 +708,14 @@ def sweep(config: ExperimentConfig) -> SweepResult:
         doc["experiment_id"] = f"{config.experiment_id or 'sweep'}-cell{idx}"
         cell = {col: "" for col in columns}
         cell.update({"experiment_id": doc["experiment_id"], "trials": config.trials})
-        cell.update({key: _grid_cell(kinds[key], value, key) for key, value in zip(keys, values)})
         try:
             for key, value in zip(keys, values):
                 _apply_override(doc, key, value)
             cell.update(to_json(monte_carlo(ExperimentConfig.from_json(doc))))
         except (ValueError, RuntimeError) as exc:
             cell["error"] = str(exc)
+        cell.update({key: _grid_cell(kinds[key], value, key, doc.get("class"))
+                     for key, value in zip(keys, values)})
         cells.append(cell)
     result = SweepResult(cells=cells, columns=columns)
     if config.out_path:

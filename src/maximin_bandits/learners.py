@@ -26,6 +26,7 @@ on observed rewards.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -37,6 +38,7 @@ from .core import (
     ArmDistribution,
     FunctionClass,
     Model,
+    NoiseSpec,
     Transcript,
     from_json,
     gap_matrix,
@@ -60,8 +62,10 @@ __all__ = [
     "run_empirical_mean_learner",
     "run_median_of_means_learner",
     "run_tree_descent",
+    "run_tree_descent_trials",
     "descend_tree",
     "run_non_adaptive_uniform",
+    "run_non_adaptive_uniform_trials",
     "run_e2d",
     "OnlineRegressionOracle",
     "oracle_weights",
@@ -72,6 +76,14 @@ __all__ = [
 #: so testing the node's empirical mean against 1/2 leaves a 1/6 margin.
 TREE_THRESHOLD = 0.5
 TREE_NODE_FACTOR = 18.0
+
+#: Rows per block of the batched oracle pass, so its memory is
+#: O(ORACLE_BLOCK x (functions + arms)) whatever the horizon.
+ORACLE_BLOCK = 1024
+#: Entries per array of a chunk of trials run at once (a chunk's draws,
+#: stage blocks and trials x arms pooling tables), so a batched run's
+#: memory is bounded whatever its trial count; 256 KiB of float64.
+TRIAL_BLOCK = 1 << 15
 
 #: Learning rate of the exponential-weights regression oracle.
 ORACLE_LEARNING_RATE = 0.5
@@ -219,25 +231,41 @@ def run_median_of_means_learner(
     )
 
 
-def descend_tree(meta: TreeMeta, stage_mean, n_node: int, n_leaf: int) -> tuple[int, int]:
-    """Root-to-leaf walk on the binary-tree class.
+def descend_tree(meta: TreeMeta, stage_mean, n_node: int, n_leaf: int):
+    """Root-to-leaf walk on the binary-tree class, for one trial or many.
 
     ``stage_mean(arm, count)`` estimates an arm's mean from ``count`` fresh
     queries.  Each internal stage estimates the current node from ``n_node``
     queries and goes right iff the estimate clears 1/2; at the leaf each
     bucket arm is estimated from ``n_leaf`` queries.  Returns the leaf and
-    the bucket arm with the best estimate (least index on ties).
+    the bucket arm with the best estimate (least index on ties).  The arms
+    and estimates are ints and floats for one trial, or int and float
+    arrays with one entry per trial; the arithmetic is the same.
     """
     node = 0  # heap order: node i's children are 2i+1 (left) and 2i+2 (right)
     for _ in range(meta.depth):
-        node = 2 * node + (2 if stage_mean(node, n_node) >= TREE_THRESHOLD else 1)
+        node = 2 * node + 1 + (stage_mean(node, n_node) >= TREE_THRESHOLD)
     leaf = node - meta.n_internal
-    best_arm, best = -1, -math.inf
-    for arm in meta.bucket_arms_of(leaf):
-        estimate = stage_mean(arm, n_leaf)
-        if estimate > best:
-            best_arm, best = arm, estimate
-    return leaf, best_arm
+    first = meta.n_internal + leaf * meta.bucket_size
+    best_slot, best = 0, stage_mean(first, n_leaf)
+    for slot in range(1, meta.bucket_size):
+        estimate = stage_mean(first + slot, n_leaf)
+        best_slot = np.where(estimate > best, slot, best_slot)
+        best = np.maximum(best, estimate)
+    return leaf, first + best_slot
+
+
+def _descent_counts(meta: TreeMeta, params: LearnerParams, fclass: FunctionClass,
+                    noise: NoiseSpec) -> tuple[int, int]:
+    """Tree descent's queries per node and per leaf arm, once ``fclass`` is
+    checked against the tree geometry and ``noise`` is a 0/1 law."""
+    if fclass.means.shape != (meta.n_functions, meta.n_arms):
+        raise ValueError("function class does not match the tree geometry")
+    if noise.kind not in ("deterministic", "bernoulli"):
+        raise ValueError("tree descent expects deterministic or Bernoulli rewards")
+    stages = meta.depth + meta.bucket_size
+    n_node = math.ceil(TREE_NODE_FACTOR * math.log(4.0 * stages / params.delta))
+    return n_node, chernoff_sample_count(params.alpha, params.delta, stages)
 
 
 def run_tree_descent(
@@ -255,14 +283,7 @@ def run_tree_descent(
     empirical mean wins.  Total queries are d * node_count +
     bucket_size * leaf_count, logarithmic in the class size.
     """
-    if model.function_class.means.shape != (meta.n_functions, meta.n_arms):
-        raise ValueError("function class does not match the tree geometry")
-    if model.noise.kind not in ("deterministic", "bernoulli"):
-        raise ValueError("tree descent expects deterministic or Bernoulli rewards")
-    stages = meta.depth + meta.bucket_size
-    n_node = math.ceil(TREE_NODE_FACTOR * math.log(4.0 * stages / params.delta))
-    n_leaf = chernoff_sample_count(params.alpha, params.delta, stages)
-
+    n_node, n_leaf = _descent_counts(meta, params, model.function_class, model.noise)
     rng = np.random.default_rng(seed)
     stage_log: list[tuple[int, int]] = []
     rewards_chunks: list[np.ndarray] = []
@@ -281,9 +302,93 @@ def run_tree_descent(
         runs=np.array(arms, dtype=np.int64),
         run_lengths=np.array(counts, dtype=np.int64),
         rewards=np.concatenate(rewards_chunks),
-        output_arm=winner,
-        meta={"leaf": leaf, "per_node": n_node, "per_leaf_arm": n_leaf},
+        output_arm=int(winner),
+        meta={"leaf": int(leaf), "per_node": n_node, "per_leaf_arm": n_leaf},
     )
+
+
+def _trial_chunks(true_functions: np.ndarray, seeds, entries_per_trial: int):
+    """Chunks of ``TRIAL_BLOCK // entries_per_trial`` trials (one at least):
+    yield each chunk's true functions and an iterator over its seeds."""
+    per_chunk = max(1, TRIAL_BLOCK // entries_per_trial)
+    seeds = iter(seeds)
+    for start in range(0, len(true_functions), per_chunk):
+        chunk = true_functions[start:start + per_chunk]
+        yield chunk, itertools.islice(seeds, len(chunk))
+
+
+def run_tree_descent_trials(
+    meta: TreeMeta,
+    params: LearnerParams,
+    fclass: FunctionClass,
+    noise: NoiseSpec,
+    true_functions: np.ndarray,
+    seeds,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`run_tree_descent` over many trials: trial i runs on the model
+    ``(fclass, true_functions[i], noise)`` and the generator
+    ``default_rng(seeds[i])``.  Returns each trial's total queries and output
+    arm, equal to that trial's transcript's.
+
+    The trials run in chunks through one :func:`descend_tree` walk over int
+    arrays of nodes.  A Bernoulli trial draws its whole budget in one call,
+    the doubles its stages would draw one after another; a stage mean is
+    the count of its draws under the mean, over the stage's query count,
+    as the sum of 0/1 rewards is exact.  Deterministic rewards draw
+    nothing, and a stage mean is the per-trial ``np.full(count, mu).sum() /
+    count`` of each distinct mean.
+    """
+    n_node, n_leaf = _descent_counts(meta, params, fclass, noise)
+    queries = meta.depth * n_node + meta.bucket_size * n_leaf
+    output_arms = np.empty(len(true_functions), dtype=np.int64)
+    done = 0
+    # deterministic chunks hold only per-trial vectors
+    per_trial = queries if noise.kind == "bernoulli" else 1
+    for chunk, chunk_seeds in _trial_chunks(true_functions, seeds, per_trial):
+        if noise.kind == "bernoulli":
+            draws = np.empty((len(chunk), queries))
+            for row, seed in zip(draws, chunk_seeds):
+                np.random.default_rng(seed).random(out=row)
+        used = 0
+
+        def stage_mean(arms: np.ndarray, count: int) -> np.ndarray:
+            nonlocal used
+            mu = fclass.means[chunk, arms]
+            if noise.kind == "deterministic":
+                values, which = np.unique(mu, return_inverse=True)
+                return np.array([np.full(count, v).sum() for v in values])[which] / count
+            block = draws[:, used:used + count]
+            used += count
+            return np.count_nonzero(block < mu[:, None], axis=1) / count
+
+        output_arms[done:done + len(chunk)] = descend_tree(meta, stage_mean, n_node, n_leaf)[1]
+        done += len(chunk)
+    return np.full(len(true_functions), queries), output_arms
+
+
+def _check_schedule(budget: int, reps_per_arm: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if reps_per_arm < 1:
+        raise ValueError("reps_per_arm must be >= 1")
+    check_entries(f"schedule of {budget} positions x {reps_per_arm} queries", budget, reps_per_arm)
+
+
+def _pooled_winners(positions: np.ndarray, rewards: np.ndarray, n_arms: int,
+                    reps_per_arm: int) -> np.ndarray:
+    """Per trial, the queried arm with the best pooled mean (least index on
+    ties; arm 0 if nothing was queried).  ``positions`` holds one row of
+    positions per trial, ``rewards`` their ``reps_per_arm`` rewards each,
+    in query order."""
+    trials = len(positions)
+    # one bin per (trial, arm); bincount adds each bin's rewards in query
+    # order, as a sequential loop would
+    bins = (positions + n_arms * np.arange(trials)[:, None]).ravel()
+    size = trials * n_arms
+    sums = np.bincount(np.repeat(bins, reps_per_arm), weights=rewards.ravel(), minlength=size)
+    counts = np.bincount(bins, minlength=size) * float(reps_per_arm)
+    pooled = np.divide(sums, counts, out=np.full(size, -np.inf), where=counts > 0)
+    return pooled.reshape(trials, n_arms).argmax(axis=1)
 
 
 def run_non_adaptive_uniform(
@@ -299,36 +404,69 @@ def run_non_adaptive_uniform(
     the queried arm with the best pooled mean (least index on ties; arm 0 if
     the budget is zero).
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    if reps_per_arm < 1:
-        raise ValueError("reps_per_arm must be >= 1")
-    check_entries(f"schedule of {budget} positions x {reps_per_arm} queries", budget, reps_per_arm)
+    _check_schedule(budget, reps_per_arm)
     rng = np.random.default_rng(seed)
     n_arms = model.function_class.n_arms
     # the whole schedule is committed here, before the first reward
     positions = rng.integers(0, n_arms, size=budget)
     rewards = sample_rewards(model, positions, reps_per_arm, rng)
-
-    # bincount adds each arm's rewards in query order, as a sequential loop would
-    sums = np.bincount(np.repeat(positions, reps_per_arm), weights=rewards, minlength=n_arms)
-    counts = np.bincount(positions, minlength=n_arms) * float(reps_per_arm)
-    pooled = np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)
-    winner = int(np.argmax(pooled))
     return Transcript(
         learner_name="non-adaptive-uniform",
         seed=seed,
         runs=positions,
         run_lengths=reps_per_arm,
         rewards=rewards,
-        output_arm=winner,
+        output_arm=int(_pooled_winners(positions[None], rewards, n_arms, reps_per_arm)[0]),
         meta={"budget": budget, "reps_per_arm": reps_per_arm},
     )
 
 
-#: Rows per block of the batched oracle pass, so its memory is
-#: O(ORACLE_BLOCK x (functions + arms)) whatever the horizon.
-ORACLE_BLOCK = 1024
+def run_non_adaptive_uniform_trials(
+    budget: int,
+    reps_per_arm: int,
+    fclass: FunctionClass,
+    noise: NoiseSpec,
+    true_functions: np.ndarray,
+    seeds,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`run_non_adaptive_uniform` over many trials: trial i runs on the
+    model ``(fclass, true_functions[i], noise)`` and the generator
+    ``default_rng(seeds[i])``.  Returns each trial's total queries and output
+    arm, equal to that trial's transcript's.
+
+    Each trial draws its positions, then its reward variates, on its own
+    generator, as :func:`sample_rewards` draws them; a chunk of trials maps
+    its variates to rewards in one pass and pools them in one
+    :func:`_pooled_winners` call.
+    """
+    _check_schedule(budget, reps_per_arm)
+    n_arms = fclass.n_arms
+    queries = budget * reps_per_arm
+    output_arms = np.empty(len(true_functions), dtype=np.int64)
+    done = 0
+    for chunk, chunk_seeds in _trial_chunks(true_functions, seeds, max(queries, n_arms)):
+        positions = np.empty((len(chunk), budget), dtype=np.int64)
+        draws = np.empty((len(chunk), budget, reps_per_arm))
+        for row, seed in enumerate(chunk_seeds):
+            rng = np.random.default_rng(seed)
+            positions[row] = rng.integers(0, n_arms, size=budget)
+            if noise.kind == "gaussian":
+                rng.standard_normal(out=draws[row])
+            elif noise.kind != "deterministic":
+                rng.random(out=draws[row])
+        mu = fclass.means[chunk[:, None], positions][:, :, None]
+        if noise.kind == "deterministic":
+            rewards = np.broadcast_to(mu, draws.shape)
+        elif noise.kind == "gaussian":
+            rewards = draws
+            rewards *= noise.sigma
+            rewards += mu
+        else:
+            rewards = _rewards_from_uniforms(noise, mu, draws)
+        output_arms[done:done + len(chunk)] = _pooled_winners(
+            positions, rewards, n_arms, reps_per_arm)
+        done += len(chunk)
+    return np.full(len(true_functions), queries), output_arms
 
 
 def _exp_weights(cum_loss: np.ndarray) -> np.ndarray:

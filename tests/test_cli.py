@@ -541,17 +541,25 @@ def test_sweep_writes_a_trials_grid_once_and_as_it_runs(capsys, tmp_path):
     assert [cell["error"] for cell in cells] == ["", ""]
 
 
-def test_sweep_writes_class_keys_and_unconvertible_values_as_given(capsys, tmp_path):
+def test_sweep_writes_class_keys_as_their_constructor_reads_them(capsys, tmp_path):
+    # unconvertible values, and the keys of an inline class, are written as given
     out = tmp_path / "sweep.csv"
     doc = {**RUN_DOC, "trials": 2, "grid": {"params.alpha": [0.3, "x"], "class.depth": [2.0]}}
     code, _ = run_cli(capsys, ["sweep", "--config", write_json(tmp_path / "s.json", doc),
                                "--out", str(out)])
     assert code == 0
     cells = list(csv.DictReader(out.read_text().splitlines()))
-    assert [(cell["params.alpha"], cell["class.depth"]) for cell in cells] == [("0.3", "2.0"),
-                                                                              ("x", "2.0")]
+    assert [(cell["params.alpha"], cell["class.depth"]) for cell in cells] == [("0.3", "2"),
+                                                                              ("x", "2")]
     assert cells[0]["error"] == ""
     assert "params.alpha must be a number" in cells[1]["error"]
+    inline = {**doc, "class": {"means": [[1.0, 0.0], [0.0, 1.0]]}, "grid": {"class.depth": [2.0]}}
+    code, _ = run_cli(capsys, ["sweep", "--config", write_json(tmp_path / "s.json", inline),
+                               "--out", str(out)])
+    assert code == 0
+    [cell] = csv.DictReader(out.read_text().splitlines())
+    assert cell["class.depth"] == "2.0"
+    assert "class.depth" in cell["error"]
 
 
 def test_dec_command_refuses_an_infinite_eps(capsys, k3_class):

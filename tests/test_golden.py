@@ -242,6 +242,11 @@ GOLDEN_ADAPTIVITY = {
         "47529de8cacbd32c500ce9d31fd201e4adf07a8b3896a3031eed24bdd0b58db9",
         "1eb8ffaeebbf11af72d9c929e1eb3cc9246cfa68856e1d3e203d72ad58147502",
     ),
+    # the benchmark's op; recorded with one learner call per trial
+    (5, 1000, 0): (
+        "7a3c1aeadd913f3d3a9bacca8ccc2ccd1af87d7aee763049dd1cc37cfc6f8d74",
+        "e35a5b46d8e2942570498a793c9eeb86e2f7f756e4aa3a54cc1afb82bbec3165",
+    ),
 }
 
 
@@ -356,6 +361,42 @@ GOLDEN_COMMANDS = {
         ["adaptivity", "--depth", "4", "--trials", "200", "--out", "adaptivity.json"], None,
         "126dc435119706b8c0bd832baaea915990674c5ac6dd3f8bdea51fd0804d10fc",
     ),
+    # The four below were recorded with one learner call per trial, before
+    # tree descent and the non-adaptive baseline ran their trials as arrays.
+    "run-non-adaptive-two-point-reps2": (
+        ["run", "--format", "json", "--out", "records.json"],
+        {
+            "class": INLINE, "noise": {"kind": "two-point", "c": 0.25},
+            "learner": "non-adaptive-uniform",
+            "params": {"alpha": 0.2, "delta": 0.1, "budget": 12, "reps_per_arm": 2},
+            "trials": 40, "seed": 31,
+        },
+        "5e8d1115a4be9dd1a1d41f2d4f4d61d9589eda8bf17e8fccfc9a9b16f6f67b60",
+    ),
+    # 1,000 trials x 40 positions: more than one chunk of trials
+    "run-non-adaptive-gaussian": (
+        ["run", "--out", "records.csv"],
+        {
+            "class": INLINE, "noise": {"kind": "gaussian", "sigma": 1.0},
+            "learner": "non-adaptive-uniform",
+            "params": {"alpha": 0.2, "delta": 0.1, "budget": 40}, "trials": 1000, "seed": 32,
+        },
+        "98ef270ce6b4b01a641c68ee6ae2e7de31c2a76fc6fb630ff99da6ff38efd8d1",
+    ),
+    # 2,932 queries per trial: about 28 chunks of trials
+    "run-descent-bernoulli-d6-bucket2": (
+        ["run", "--out", "records.csv"],
+        {
+            "class": {"constructor": "tree", "depth": 6, "bucket_size": 2},
+            "noise": {"kind": "bernoulli"}, "learner": "tree-descent",
+            "params": {"alpha": 0.2, "delta": 0.1}, "trials": 300, "seed": 33,
+        },
+        "23694fe0fb95fcd47cbd0efdd5800ce58d59cfd66784b69949b0db2c51bffd3a",
+    ),
+    "adaptivity-depth-5": (
+        ["adaptivity", "--depth", "5", "--trials", "1000", "--out", "adaptivity.json"], None,
+        "7a3c1aeadd913f3d3a9bacca8ccc2ccd1af87d7aee763049dd1cc37cfc6f8d74",
+    ),
 }
 
 
@@ -388,6 +429,9 @@ def refuse_constant(token):
                                         if case[0][0] != "sweep"))
 def test_command_json_output_is_strict_json(tmp_path, monkeypatch, capsys, name):
     # RFC 8259 has no NaN or Infinity; a strict parser refuses them
-    for payload in command_outputs(tmp_path, monkeypatch, capsys, name):
+    printed, written = command_outputs(tmp_path, monkeypatch, capsys, name)
+    if GOLDEN_COMMANDS[name][0][-1].endswith(".csv"):
+        written = None  # CSV records; the summary printed beside them is JSON
+    for payload in (printed, written):
         if payload:
             json.loads(payload, parse_constant=refuse_constant)

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,29 @@ def test_runtime_recording_opt_in():
     cfg = tree_config(trials=2, record_runtime=True)
     result = monte_carlo(cfg)
     assert any(r.runtime_ms > 0 for r in result.records)
+
+
+def test_runtime_recording_times_each_batched_trial():
+    # tree descent runs its trials as arrays; timed, it runs one per call
+    timed = monte_carlo(tree_config(trials=5, record_runtime=True)).records
+    assert all(r.runtime_ms > 0 for r in timed)
+    untimed = monte_carlo(tree_config(trials=5)).records
+    assert [replace(r, runtime_ms=0.0) for r in timed] == untimed
+
+
+def test_monte_carlo_holds_one_transcript_at_a_time():
+    # a tree-d6 empirical-mean trial logs 192 x 1,790 rewards (2.75 MB); a
+    # trial loop that kept one trial's transcript into the next would hold two
+    cfg = tree_config(class_spec={"constructor": "tree", "depth": 6, "bucket_size": 1},
+                      learner="empirical-mean", trials=3)
+    monte_carlo(replace(cfg, trials=1))  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        monte_carlo(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 192 * 1790 * 8
 
 
 def test_trial_record_encodes_in_field_order_under_its_json_keys():

@@ -21,6 +21,7 @@ from maximin_bandits.estimators import (
     mom_groups,
     row_medians_of_means,
 )
+from maximin_bandits import learners
 from maximin_bandits.games import gamma
 from maximin_bandits.learners import (
     ORACLE_BLOCK,
@@ -36,7 +37,9 @@ from maximin_bandits.learners import (
     run_empirical_mean_learner,
     run_median_of_means_learner,
     run_non_adaptive_uniform,
+    run_non_adaptive_uniform_trials,
     run_tree_descent,
+    run_tree_descent_trials,
 )
 
 
@@ -322,6 +325,17 @@ def test_descend_tree_walks_the_heap_like_a_path_walk(depth, bucket_size):
         assert len(walks[0][1]) == depth + bucket_size
 
 
+@pytest.mark.parametrize("trials", [None, 3])
+def test_descend_tree_keeps_the_least_bucket_slot_on_ties(trials):
+    # every estimate is 1/2: the walk goes right at each node, and the
+    # bucket's first slot wins every tie, for one trial or an array of them
+    _, meta = make_tree_class(2, 3)
+    estimate = 0.5 if trials is None else np.full(trials, 0.5)
+    leaf, arm = descend_tree(meta, lambda arm, count: estimate, 1, 1)
+    assert np.all(leaf == 3)
+    assert np.all(arm == meta.bucket_arms_of(3)[0])
+
+
 def test_tree_descent_bernoulli_succeeds_whp():
     fclass, meta = make_tree_class(2, 1)
     params = LearnerParams(alpha=0.2, delta=0.1)
@@ -400,6 +414,88 @@ def test_non_adaptive_rejects_negative_budget():
         run_non_adaptive_uniform(
             -1, 1, Model(fclass, 0, NoiseSpec.bernoulli()), seed=0
         )
+
+
+# ---------------------------------------------------------------------------
+# trials as arrays: each batch entry against its single-trial function
+
+#: Interior means, so every noise kind but ``deterministic`` draws random rewards.
+INTERIOR = FunctionClass([
+    [0.70, 0.40, 0.35, 0.30, 0.45],
+    [0.40, 0.70, 0.35, 0.45, 0.30],
+    [0.35, 0.40, 0.70, 0.30, 0.45],
+    [0.45, 0.30, 0.40, 0.70, 0.35],
+])
+BATCH_NOISES = {
+    "deterministic": NoiseSpec.deterministic(),
+    "bernoulli": NoiseSpec.bernoulli(),
+    "two-point": NoiseSpec.two_point(0.25),
+    "gaussian": NoiseSpec.gaussian(0.3),
+    "heavy-tail": NoiseSpec.heavy_tail(0.3),
+}
+#: 37 trials: a chunk count that does not divide them, at the default chunk
+#: limit for the Bernoulli descent and the largest schedule, and at 7 entries
+#: for the deterministic descent
+BATCH_TRIALS = 37
+
+
+def assert_batch_matches_single(batch, single, n_functions, fixed):
+    rng = np.random.default_rng(n_functions)
+    if fixed:
+        true_functions = np.full(BATCH_TRIALS, n_functions - 1)
+    else:
+        true_functions = rng.integers(n_functions, size=BATCH_TRIALS)
+    seeds = rng.integers(2**63, size=BATCH_TRIALS).tolist()
+    queries, output_arms = batch(true_functions, iter(seeds))
+    expected = []
+    for true_f, seed in zip(true_functions.tolist(), seeds):
+        transcript = single(true_f, seed)
+        expected.append((transcript.total_queries, transcript.output_arm))
+    assert list(zip(queries.tolist(), output_arms.tolist())) == expected
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("bucket_size", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["deterministic", "bernoulli"])
+def test_tree_descent_trials_match_single_trials(monkeypatch, kind, bucket_size, fixed, block):
+    if block is not None:
+        monkeypatch.setattr(learners, "TRIAL_BLOCK", block)
+    fclass, meta = make_tree_class(3, bucket_size)
+    params = LearnerParams(alpha=0.2, delta=0.1)
+    noise = BATCH_NOISES[kind]
+    assert_batch_matches_single(
+        lambda fs, seeds: run_tree_descent_trials(meta, params, fclass, noise, fs, seeds),
+        lambda f, seed: run_tree_descent(meta, params, Model(fclass, f, noise), seed),
+        fclass.n_functions, fixed)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("budget, reps", [(0, 1), (12, 3), (1000, 3)])
+@pytest.mark.parametrize("kind", sorted(BATCH_NOISES))
+def test_non_adaptive_trials_match_single_trials(kind, budget, reps, fixed):
+    noise = BATCH_NOISES[kind]
+    assert_batch_matches_single(
+        lambda fs, seeds: run_non_adaptive_uniform_trials(budget, reps, INTERIOR, noise, fs, seeds),
+        lambda f, seed: run_non_adaptive_uniform(budget, reps, Model(INTERIOR, f, noise), seed),
+        INTERIOR.n_functions, fixed)
+
+
+def test_batch_entries_raise_the_single_trial_errors():
+    fclass, meta = make_tree_class(2, 1)
+    params = LearnerParams(alpha=0.2, delta=0.1)
+    trial = (np.zeros(1, dtype=np.int64), [0])
+    for noise, other in ((NoiseSpec.gaussian(1.0), fclass), (NoiseSpec.bernoulli(), make_k_armed(7))):
+        with pytest.raises(ValueError) as single:
+            run_tree_descent(meta, params, Model(other, 0, noise), seed=0)
+        with pytest.raises(ValueError) as batch:
+            run_tree_descent_trials(meta, params, other, noise, *trial)
+        assert str(batch.value) == str(single.value)
+    with pytest.raises(ValueError) as single:
+        run_non_adaptive_uniform(-1, 1, Model(fclass, 0, NoiseSpec.bernoulli()), seed=0)
+    with pytest.raises(ValueError) as batch:
+        run_non_adaptive_uniform_trials(-1, 1, fclass, NoiseSpec.bernoulli(), *trial)
+    assert str(batch.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------
