@@ -8,10 +8,13 @@ downstream (games, learners, experiment harness) builds on the types here.
 All randomness flows through explicit ``numpy.random.Generator`` streams or
 integer seeds derived via :func:`trial_seed`, so a run is a pure function of
 (config, seed).  A run derives its trial seeds in batches with
-:func:`trial_seeds` and :func:`generator_seeds`: one vectorised pass hashes
-a block of them and computes the words numpy's ``SeedSequence`` would, so
-each trial's ``np.random.default_rng(seed)`` is a fresh generator with the
-stream of ``default_rng(int(seed))``, built without hashing the seed again.
+:func:`trial_seeds` and :func:`stream_seeds`: one vectorised pass hashes
+a block of them and computes the words numpy's ``SeedSequence`` would.  A
+trial that draws many values gets a fresh ``np.random.default_rng(seed)``
+with the stream of ``default_rng(int(seed))``, built without hashing the
+seed again; trials that each draw a few values share one
+:class:`TrialStreams`, which draws those values for all of them at once,
+bit for bit the same.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ __all__ = [
     "two_point_support",
     "trial_seed",
     "trial_seeds",
-    "generator_seeds",
+    "stream_seeds",
+    "TrialStreams",
     "HEAVY_TAIL_OUTLIER_PROB",
     "NOISE_KINDS",
 ]
@@ -167,9 +171,106 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
+# PCG64's 128-bit LCG multiplier, as its high and low 64-bit words.
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+
+
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * b``, from 32-bit limb
+    products that cannot overflow a uint64."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+
+
+def _add128(hi, lo, add_hi, add_lo) -> tuple:
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+class TrialStreams:
+    """One ``np.random.default_rng(seed)`` stream per seed of ``seeds`` (a
+    1-D uint64 array, as :func:`trial_seeds` returns), held as arrays.
+
+    Each trial's PCG64 state and increment are 128-bit numbers kept as
+    uint64 arrays of high and low words, seeded from the words
+    :func:`_seed_words` derives as numpy's ``PCG64`` seeds them.  One call
+    steps every stream once (or once more, for the trials that reject an
+    ``integers`` draw) and returns one value per trial, bit for bit what
+    that trial's own generator returns.  The arithmetic stays on arrays:
+    a numpy scalar would warn where the products wrap.
+
+    It pays when each trial draws a few values: one numpy pass per value
+    serves every trial, where a per-trial generator costs microseconds to
+    build.  A trial that draws thousands of values is faster on its own
+    generator, which fills a whole block in one call.
+    """
+
+    def __init__(self, seeds: np.ndarray):
+        words = _seed_words(np.asarray(seeds, dtype=np.uint64))
+        # numpy's pcg64_set_seed: state 0, inc = (w2:w3 << 1) | 1, step,
+        # add w0:w1, step (word 0 and word 2 are the high halves)
+        self._inc_hi = (words[:, 2] << 1) | (words[:, 3] >> 63)
+        self._inc_lo = (words[:, 3] << 1) | 1
+        seeded = _add128(self._inc_hi, self._inc_lo, words[:, 0], words[:, 1])
+        self._hi, self._lo = self._step(*seeded)
+        # next_uint32 hands out an output's low half and keeps its high half
+        self._half = np.zeros_like(self._lo)
+        self._has_half = np.zeros(self._lo.size, dtype=bool)
+
+    @property
+    def size(self) -> int:
+        return self._lo.size
+
+    def _step(self, hi, lo, index=slice(None)) -> tuple:
+        """``state * multiplier + inc`` mod 2^128, for the trials ``index``."""
+        mult_hi, mult_lo = _PCG_MULT
+        new_hi = hi * mult_lo + lo * mult_hi + _mul_high(lo, mult_lo)
+        return _add128(new_hi, lo * mult_lo, self._inc_hi[index], self._inc_lo[index])
+
+    def _next64(self, index=slice(None)) -> np.ndarray:
+        """Step the streams ``index`` and return their XSL-RR outputs."""
+        hi, lo = self._step(self._hi[index], self._lo[index], index)
+        self._hi[index], self._lo[index] = hi, lo
+        folded, rotation = hi ^ lo, hi >> 58
+        return (folded >> rotation) | (folded << ((64 - rotation) & 63))
+
+    def random(self) -> np.ndarray:
+        """One ``Generator.random()`` double per trial."""
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> np.ndarray:
+        """One ``Generator.integers(n)`` int64 per trial: numpy's 32-bit
+        Lemire method on ``next_uint32``, retried only by the trials that
+        reject their draw.  No draw at all when n is 1."""
+        n = int(n)
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"TrialStreams.integers needs 1 <= n <= 2^32, got {n}")
+        out = np.zeros(self.size, dtype=np.int64)
+        if n == 1:
+            return out
+        threshold = (1 << 32) % n  # a low word below it would bias the draw
+        pending = np.arange(self.size)
+        while pending.size:
+            has_half = self._has_half[pending]
+            fresh = pending[~has_half]
+            full = self._next64(fresh)
+            word = self._half[pending]
+            word[~has_half] = full & _MASK32
+            self._half[fresh] = full >> 32
+            self._has_half[pending] = ~has_half
+            scaled = word * n
+            accept = (scaled & _MASK32) >= threshold
+            out[pending[accept]] = scaled[accept] >> 32
+            pending = pending[~accept]
+        return out
+
+
 @cache
 def _seed_type() -> type:
-    """The seed type :func:`generator_seeds` yields, made on first use so
+    """The seed type :func:`stream_seeds` yields, made on first use so
     that importing this module leaves ``numpy.random`` unimported."""
     from numpy.random.bit_generator import ISeedSequence, SeedSequence
 
@@ -184,16 +285,15 @@ def _seed_type() -> type:
     return TrialSeed
 
 
-#: Trials whose seeds one numpy pass of :func:`generator_seeds` derives:
+#: Trials whose seeds one numpy pass of :func:`stream_seeds` derives:
 #: enough to amortise a pass, few enough that memory does not grow with
 #: the trial count.
 _SEED_BLOCK = 1024
 
 
-def generator_seeds(master: int, trials: int, stream: int | None = None) -> Iterator[int]:
-    """Yield ``trial_seed(master, i)`` for i = 0 .. trials-1, lazily; with a
-    ``stream``, yield that stream of each, ``trial_seed(trial_seed(master, i),
-    stream)``.
+def stream_seeds(seeds: np.ndarray, stream: int) -> Iterator[int]:
+    """Yield ``trial_seed(seed, stream)`` for each of ``seeds`` (a 1-D uint64
+    array, as :func:`trial_seeds` returns), lazily.
 
     Each seed is an int equal to that value, and ``np.random.default_rng``
     seeds a fresh ``Generator(PCG64)`` from it with the stream of
@@ -202,10 +302,8 @@ def generator_seeds(master: int, trials: int, stream: int | None = None) -> Iter
     a new ``SeedSequence``.
     """
     seed_type = _seed_type()
-    for start in range(0, trials, _SEED_BLOCK):
-        block = trial_seeds(master, np.arange(start, min(start + _SEED_BLOCK, trials)))
-        if stream is not None:
-            block = trial_seeds(block, stream)
+    for start in range(0, seeds.size, _SEED_BLOCK):
+        block = trial_seeds(seeds[start:start + _SEED_BLOCK], stream)
         for value, words in zip(block.tolist(), _seed_words(block)):
             seed = seed_type(value)
             seed.words = words

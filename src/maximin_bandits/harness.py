@@ -4,9 +4,11 @@ Every experiment is a pure function of (config, master seed): trial i runs on
 the derived seed ``trial_seed(master, i)``, records are persisted in trial
 order, and repeated executions produce byte-identical output files.  A run
 derives its trial seeds in vectorised batches (``core.trial_seeds`` and
-``core.generator_seeds``).  Wall times are measured only when
-``record_runtime`` is set, because persisted timings would break
-reproducibility; by default the runtime column is 0.
+``core.stream_seeds``), and draws short per-trial streams (certify's coin
+flips, each trial's true function) as arrays (``core.TrialStreams``).
+Wall times are measured only when ``record_runtime`` is set, because
+persisted timings would break reproducibility; by default the runtime
+column is 0.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     Model,
     NoiseSpec,
     Transcript,
+    TrialStreams,
     _json_fields,
     check_entries,
     check_keys,
@@ -35,7 +38,7 @@ from .core import (
     config_value,
     from_json,
     gap_matrix,
-    generator_seeds,
+    stream_seeds,
     to_json,
     trial_seed,
     trial_seeds,
@@ -79,6 +82,11 @@ __all__ = [
 #: output-distribution argument enumerates binary answer strings, so the
 #: certified floor (1 - delta) / 2^T is vacuous beyond small T.
 CERTIFY_BUDGET_CAP = 20
+
+#: Trials per lock-step chunk of ``certify_lower_bound``, and per block of
+#: drawn true functions: enough to amortise the numpy passes of
+#: :class:`TrialStreams`, few enough that memory does not grow with trials.
+_TRIAL_CHUNK = 4096
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -328,25 +336,32 @@ def _prepare_context(config: ExperimentConfig) -> _RunContext:
     )
 
 
-def _run_trials(ctx: _RunContext, learner_stream: int = 1) -> list:
+def _draw_trials(config: ExperimentConfig, fclass: FunctionClass) -> tuple:
+    """Each trial's seed ``trial_seed(config.seed, i)``, a uint64 array, and
+    its model row: ``config.true_function``, or one ``integers`` draw from
+    stream 0 of the trial's seed, drawn for a block of trials at once."""
+    seeds = trial_seeds(config.seed, np.arange(config.trials))
+    if config.true_function is not None:
+        return seeds, np.full(config.trials, int(config.true_function))
+    true_functions = np.concatenate([
+        TrialStreams(trial_seeds(seeds[start:start + _TRIAL_CHUNK], 0)).integers(fclass.n_functions)
+        for start in range(0, seeds.size, _TRIAL_CHUNK)])
+    return seeds, true_functions
+
+
+def _run_trials(ctx: _RunContext, learner_stream: int, draws: tuple) -> list:
     """Every trial of ``ctx.config``, in order.  Trial i's model row comes
-    from stream 0 of ``trial_seed(seed, i)`` and its learner from stream
-    ``learner_stream``; the seeds are derived in batches.  The learner runs
-    every trial in one call, or, when ``record_runtime`` is set, one trial
-    per timed call."""
+    from ``draws``, the seeds and true functions of :func:`_draw_trials`,
+    and its learner from stream ``learner_stream`` of its seed.  The learner
+    runs every trial in one call, or, when ``record_runtime`` is set, one
+    trial per timed call."""
     config, fclass = ctx.config, ctx.fclass
-    master, trials = config.seed, config.trials
-    if config.true_function is None:
-        true_functions = np.array([
-            np.random.default_rng(seed).integers(fclass.n_functions)
-            for seed in generator_seeds(master, trials, 0)], dtype=np.int64)
-    else:
-        true_functions = np.full(trials, int(config.true_function))
-    seeds = generator_seeds(master, trials, learner_stream)
+    seeds, true_functions = draws
+    learner_seeds = stream_seeds(seeds, learner_stream)
     if config.record_runtime:
-        calls = ((slice(i, i + 1), [seed]) for i, seed in enumerate(seeds))
+        calls = ((slice(i, i + 1), [seed]) for i, seed in enumerate(learner_seeds))
     else:
-        calls = [(slice(0, trials), seeds)]
+        calls = [(slice(0, config.trials), learner_seeds)]
     run = _DISPATCH[config.learner]
     outcomes = []  # (queries, output arm, error, runtime in ms) per trial
     for part, part_seeds in calls:
@@ -379,7 +394,7 @@ def _run_trials(ctx: _RunContext, learner_stream: int = 1) -> list:
             error=error,
         )
         for index, (ts, success, (queries, output_arm, error, elapsed)) in enumerate(
-            zip(trial_seeds(master, np.arange(trials)).tolist(), successes, outcomes))
+            zip(seeds.tolist(), successes, outcomes))
     ]
 
 
@@ -392,7 +407,7 @@ def monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
     frequency.
     """
     ctx = _prepare_context(config)
-    records = _run_trials(ctx)
+    records = _run_trials(ctx, 1, _draw_trials(config, ctx.fclass))
 
     successes = sum(1 for r in records if r.success)
     rate = successes / len(records)
@@ -443,44 +458,59 @@ def certify_lower_bound(
 ) -> CertifyReport:
     """Feed a tiny-budget learner pure coin flips and certify its coverage.
 
-    ``prober(query, rng) -> arm`` runs one trial, drawing observations only
-    through ``query(arm)``; every answer is an independent Bernoulli(1/2),
-    carrying no information about any function.  Over ``trials`` runs the
-    empirical output distribution p_hat is accumulated, and the report checks
+    The trials run in lock-step chunks, so memory does not grow with
+    ``trials``.  ``prober(query, streams) -> arms`` runs one chunk: it sees
+    every trial of the chunk at once and returns one arm per trial (or one
+    arm for all).  It draws observations only through ``query(arm or
+    arms)``, which returns one independent Bernoulli(1/2) answer per trial,
+    carrying no information about any function; ``streams`` (a
+    :class:`TrialStreams`, one ``default_rng(trial_seed(seed, i))`` stream
+    per trial) serves any other draw, and the answers come from the same
+    streams.  Over ``trials`` runs the empirical output distribution p_hat
+    is accumulated, and the report checks
 
         min_f  P_{arm ~ p_hat}(arm is alpha-optimal for f)
             >= (1 - delta) / 2^T - slack
 
-    with T the observed per-trial budget (must never exceed
-    ``CERTIFY_BUDGET_CAP``) and slack three binomial standard deviations.
-    Any learner that succeeds with probability 1 - delta on every in-class
-    Bernoulli model must clear this floor, because its output can depend on
-    at most 2^T equally likely answer strings.
+    with T the per-trial budget (must never exceed ``CERTIFY_BUDGET_CAP``;
+    the cap is checked before each answer is drawn) and slack three
+    binomial standard deviations.  Any learner that succeeds with
+    probability 1 - delta on every in-class Bernoulli model must clear
+    this floor, because its output can depend on at most 2^T equally
+    likely answer strings.
+
+    Each trial draws at most ``CERTIFY_BUDGET_CAP`` values, so the chunk's
+    streams are one array kernel, not a generator per trial; both give the
+    bytes of ``default_rng(trial_seed(seed, i))``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    counts = np.zeros(fclass.n_arms)
+    n_arms = fclass.n_arms
+    counts = np.zeros(n_arms)
     budget = 0
-    for rng in map(np.random.default_rng, generator_seeds(seed, trials)):
+    for start in range(0, trials, _TRIAL_CHUNK):
+        chunk = np.arange(start, min(start + _TRIAL_CHUNK, trials))
+        streams = TrialStreams(trial_seeds(seed, chunk))
         used = 0
 
-        def query(arm: int) -> float:
+        def query(arm) -> np.ndarray:
             nonlocal used
-            if not 0 <= arm < fclass.n_arms:
+            arms = np.asarray(arm)
+            if arms.size and not (0 <= arms.min() and arms.max() < n_arms):
                 raise IndexError(f"arm {arm} out of range")
-            used += 1
-            if used > CERTIFY_BUDGET_CAP:
+            if used == CERTIFY_BUDGET_CAP:
                 raise ValueError(
                     f"prober exceeded the certification budget cap {CERTIFY_BUDGET_CAP}"
                 )
-            return float(rng.random() < 0.5)
+            used += 1
+            return (streams.random() < 0.5).astype(float)
 
-        output = prober(query, rng)
-        if not 0 <= output < fclass.n_arms:
+        outputs = np.broadcast_to(prober(query, streams), streams.size)
+        if outputs.dtype.kind not in "iu" or not (0 <= outputs.min() and outputs.max() < n_arms):
             raise IndexError("prober returned an invalid arm")
-        counts[output] += 1.0
+        counts += np.bincount(outputs.astype(np.int64), minlength=n_arms)
         budget = max(budget, used)
 
     p_hat = ArmDistribution(counts / trials)
@@ -501,16 +531,22 @@ def certify_lower_bound(
 
 
 def tree_descent_prober(meta: TreeMeta, reps_per_stage: int = 1):
-    """Tree descent driven entirely through the certification query channel."""
+    """Tree descent driven entirely through the certification query channel.
+
+    A prober call sees a whole chunk of trials and returns one arm per
+    trial: one :func:`descend_tree` walk, whose every stage sums
+    ``reps_per_stage`` vector answers (one per trial) and sends each trial
+    down its own branch.  The answers come from the chunk's array streams,
+    as each trial queries at most ``CERTIFY_BUDGET_CAP`` times; the learner
+    (``run_tree_descent_trials``) draws thousands of values per trial and
+    keeps a generator per trial.  Both give the bytes of ``default_rng``.
+    """
     if reps_per_stage < 1:
         raise ValueError("reps_per_stage must be >= 1")
 
-    def prober(query, rng) -> int:
-        def stage_mean(arm: int, count: int) -> float:
-            total = 0
-            for _ in range(count):
-                total += query(arm)
-            return total / count
+    def prober(query, streams) -> np.ndarray:
+        def stage_mean(arms, count: int) -> np.ndarray:
+            return sum(query(arms) for _ in range(count)) / count
 
         return descend_tree(meta, stage_mean, reps_per_stage, reps_per_stage)[1]
 
@@ -520,17 +556,18 @@ def tree_descent_prober(meta: TreeMeta, reps_per_stage: int = 1):
 def fixed_arm_prober(arm: int):
     """Zero-query learner that always outputs the same arm."""
 
-    def prober(query, rng) -> int:
+    def prober(query, streams) -> int:
         return arm
 
     return prober
 
 
 def witness_prober(p: ArmDistribution):
-    """Zero-query learner that outputs one draw from a fixed mixture."""
+    """Zero-query learner that outputs one draw from a fixed mixture: the
+    arm of one double per trial, as :meth:`ArmDistribution.sample` maps it."""
 
-    def prober(query, rng) -> int:
-        return p.sample(rng)
+    def prober(query, streams) -> np.ndarray:
+        return p._inverse_cdf(streams.random())
 
     return prober
 
@@ -592,10 +629,11 @@ def adaptivity_experiment(
         params=replace(descent.params, budget=budget),
         experiment_id=f"adaptivity-d{depth}-non-adaptive",
     )
-    # both learners face the same model in each trial (stream 0)
-    adaptive_records = _run_trials(ctx, 1)
+    # both learners face the same model in each trial, drawn once
+    draws = _draw_trials(descent, ctx.fclass)
+    adaptive_records = _run_trials(ctx, 1, draws)
     baseline = replace(ctx, config=fixed, experiment_id=fixed.experiment_id)
-    non_adaptive_records = _run_trials(baseline, 2)
+    non_adaptive_records = _run_trials(baseline, 2, draws)
 
     failure_rate = sum(not r.success for r in non_adaptive_records) / trials
     slack = 3.0 * math.sqrt(0.25 / trials)

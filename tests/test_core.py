@@ -20,16 +20,18 @@ from maximin_bandits.core import (
     Model,
     NoiseSpec,
     Transcript,
+    TrialStreams,
     from_json,
     gap_matrix,
-    generator_seeds,
     sample_rewards,
+    stream_seeds,
     trial_seed,
     trial_seeds,
     to_json,
     two_point_support,
     HEAVY_TAIL_OUTLIER_PROB,
 )
+from maximin_bandits.harness import CERTIFY_BUDGET_CAP
 
 
 def small_class():
@@ -63,7 +65,7 @@ def test_trial_seed_stays_in_u64(master, index):
 
 
 # ---------------------------------------------------------------------------
-# trial_seeds and generator_seeds: the batch forms, checked against the
+# trial_seeds and stream_seeds: the batch forms, checked against the
 # scalar trial_seed and numpy's own SeedSequence
 
 
@@ -103,15 +105,15 @@ def test_batch_seed_words_equal_seed_sequence():
 @pytest.mark.parametrize("master", [-7, 3, 2**64 + 5])
 def test_generator_seeds_equal_trial_seed(master):
     # 2500 trials span three blocks of the batch pass
-    assert list(generator_seeds(master, 2500)) == [trial_seed(master, i) for i in range(2500)]
-    assert list(generator_seeds(master, 2500, 2)) == [
+    seeds = trial_seeds(master, np.arange(2500))
+    assert list(stream_seeds(seeds, 2)) == [
         trial_seed(trial_seed(master, i), 2) for i in range(2500)]
-    assert list(generator_seeds(master, 0)) == []
+    assert list(stream_seeds(seeds[:0], 2)) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_default_rng_of_a_generator_seed_is_the_integer_stream():
-    for seed in generator_seeds(2**63 + 11, 50, 1):
+    for seed in stream_seeds(trial_seeds(2**63 + 11, np.arange(50)), 1):
         batch, direct = np.random.default_rng(seed), np.random.default_rng(int(seed))
         assert batch.bit_generator.state == direct.bit_generator.state
         np.testing.assert_array_equal(batch.random(5), direct.random(5))
@@ -124,24 +126,95 @@ def test_default_rng_of_a_generator_seed_is_the_integer_stream():
 @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
                                             (5, np.uint64), (4, "uint32")])
 def test_generator_seed_falls_back_to_seed_sequence(n_words, dtype):
-    (seed,) = generator_seeds(99, 1)
+    (seed,) = stream_seeds(trial_seeds(99, np.arange(1)), 0)
     np.testing.assert_array_equal(
         seed.generate_state(n_words, dtype),
-        np.random.SeedSequence(trial_seed(99, 0)).generate_state(n_words, dtype))
+        np.random.SeedSequence(trial_seed(trial_seed(99, 0), 0)).generate_state(n_words, dtype))
     with pytest.raises(ValueError):
         seed.generate_state(4, np.float64)
 
 
 def test_generator_seeds_hold_one_block_at_a_time():
-    seeds = generator_seeds(5, 10**12)
+    # the words of all 10^6 seeds at once would take 32 MB
+    seeds = stream_seeds(np.arange(10**6, dtype=np.uint64), 5)
     tracemalloc.start()
     try:
         first = next(seeds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == trial_seed(5, 0)
+    assert first == trial_seed(0, 5)
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# TrialStreams: numpy's PCG64 generator, one stream per trial, as arrays
+
+#: 10,000 trial seeds of one master, then that many of their stream 3.
+KERNEL_SEEDS = trial_seeds(2024, np.arange(10_000))
+STREAM_SEEDS = trial_seeds(KERNEL_SEEDS, 3)
+
+
+@pytest.mark.parametrize("seeds", [KERNEL_SEEDS, STREAM_SEEDS], ids=["trial", "stream"])
+def test_trial_streams_random_equals_default_rng(seeds):
+    draws = CERTIFY_BUDGET_CAP + 1
+    streams = TrialStreams(seeds)
+    assert streams.size == seeds.size
+    got = np.stack([streams.random() for _ in range(draws)], axis=1)
+    want = np.stack([np.random.default_rng(seed).random(draws) for seed in seeds.tolist()])
+    np.testing.assert_array_equal(got, want)
+
+
+def lemire_integer(seed: int, n: int) -> tuple[int, int]:
+    """``default_rng(seed).integers(n)`` from its raw outputs, in Python ints:
+    numpy's 32-bit Lemire method on the low, then the high, half of each
+    output.  Returns the draw and the count of rejected words."""
+    if n == 1:
+        return 0, 0
+    raw = np.random.default_rng(seed).bit_generator
+    threshold, rejected = (1 << 32) % n, 0
+    while True:
+        output = int(raw.random_raw())
+        for word in (output & 0xFFFFFFFF, output >> 32):
+            if (word * n) & 0xFFFFFFFF >= threshold:
+                return (word * n) >> 32, rejected
+            rejected += 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 256, 2**22, 2**31 + 11])
+def test_trial_streams_integers_equal_default_rng(n):
+    streams = TrialStreams(KERNEL_SEEDS)
+    got, after = streams.integers(n), streams.random()
+    assert got.dtype == np.int64
+    want, want_after, rejected = [], [], 0
+    for seed in KERNEL_SEEDS.tolist():
+        rng = np.random.default_rng(seed)
+        want.append(rng.integers(n))
+        want_after.append(rng.random())  # each stream stepped as numpy steps it
+        value, retries = lemire_integer(seed, n)
+        assert value == want[-1]
+        rejected += retries
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(after, want_after)
+    if n == 2**31 + 11:  # about half of all words are rejected
+        assert 0.4 * KERNEL_SEEDS.size < rejected < 1.6 * KERNEL_SEEDS.size
+
+
+def test_trial_streams_integers_keep_the_buffered_half():
+    # a second draw starts from each trial's buffered high half, or not
+    streams, seeds = TrialStreams(KERNEL_SEEDS[:2000]), KERNEL_SEEDS[:2000].tolist()
+    got = [streams.integers(2**31 + 11), streams.integers(5), streams.random(),
+           streams.integers(2**32)]
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        want = [rng.integers(2**31 + 11), rng.integers(5), rng.random(), rng.integers(2**32)]
+        assert [draw[i] for draw in got] == want
+
+
+@pytest.mark.parametrize("n", [0, 2**32 + 1])
+def test_trial_streams_integers_reject_a_range_off_32_bits(n):
+    with pytest.raises(ValueError, match="TrialStreams.integers"):
+        TrialStreams(KERNEL_SEEDS[:3]).integers(n)
 
 
 def test_importing_the_cli_leaves_numpy_random_unimported():

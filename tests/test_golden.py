@@ -311,6 +311,25 @@ GOLDEN_COMMANDS = {
         {"class": INLINE, "prober": {"kind": "witness", "alpha": 0.3}},
         "797dfd6fad28fe26e9cc2f75045246f4932b449763e61d83259b691f3dde83f1",
     ),
+    # The three below were recorded with one generator per certify trial,
+    # before certify ran its trials as chunks of array streams.  Three coin
+    # flips per stage on four stages: budget 12.
+    "certify-tree-d2-bucket2-reps3": (
+        ["certify", "--trials", "3000", "--seed", "13"],
+        {"class": {"constructor": "tree", "depth": 2, "bucket_size": 2},
+         "prober": {"kind": "tree-descent", "reps": 3}},
+        "6ede6d4a01c6bc3a9b79988eefb51b8cb640831daf20933d4b7df3127e601a64",
+    ),
+    "certify-fixed-arm": (
+        ["certify", "--trials", "500", "--seed", "9"],
+        {"class": INLINE, "prober": {"kind": "fixed-arm", "arm": 2}},
+        "516e1cedfca7d4ada7713eaa430f37cc0fa8f99248b192a71bbb58a44c78c556",
+    ),
+    # the benchmark's certify op at one of its seeds
+    "certify-depth-1-benchmark": (
+        ["certify", "--depth", "1", "--trials", "10000", "--seed", "1097657232"], None,
+        "7d4aedd37c317d4647b3950861d6d3e5e6dc4c2905736a916f7a777b6497481b",
+    ),
     "discretize": (
         ["discretize", "--mu", "0.5", "--sigma", "2.0", "--eps", "0.2"], None,
         "7d2e70f94a6d093e51d640cf3ff69498bf0464920bb828743abd54ac34c114f1",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 from dataclasses import replace
@@ -6,11 +7,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maximin_bandits.core import ArmDistribution, CapacityError, NoiseSpec, to_json
+from maximin_bandits import harness
+from maximin_bandits.core import (
+    ArmDistribution,
+    CapacityError,
+    NoiseSpec,
+    TrialStreams,
+    gap_matrix,
+    to_json,
+    trial_seed,
+    trial_seeds,
+)
 from maximin_bandits.environments import make_tree_class
+from maximin_bandits.games import gamma
 from maximin_bandits.harness import (
     CSV_COLUMNS,
     CERTIFY_BUDGET_CAP,
+    CertifyReport,
     EXPERIMENT_KEYS,
     ExperimentConfig,
     TrialRecord,
@@ -25,7 +38,7 @@ from maximin_bandits.harness import (
     tree_descent_prober,
     witness_prober,
 )
-from maximin_bandits.learners import LearnerParams
+from maximin_bandits.learners import LearnerParams, descend_tree
 
 
 def tree_config(**overrides) -> ExperimentConfig:
@@ -268,19 +281,25 @@ def test_certify_lower_bound_tree_d1():
 
 def test_certify_budget_cap_enforced():
     fclass, _ = make_tree_class(1, 1)
+    seen = []
 
     def greedy(query, rng):
+        seen.append(rng)
         for _ in range(CERTIFY_BUDGET_CAP + 1):
             query(0)
         return 0
 
     with pytest.raises(ValueError):
         certify_lower_bound(fclass, greedy, 0.2, 0.1, trials=2, seed=0)
+    # the cap is checked before a draw: each stream stepped exactly CAP times
+    (streams,) = seen
+    fresh = TrialStreams(trial_seeds(0, np.arange(2)))
+    for _ in range(CERTIFY_BUDGET_CAP):
+        fresh.random()
+    np.testing.assert_array_equal(streams.random(), fresh.random())
 
 
 def test_certify_witness_prober_matches_gamma_coverage():
-    from maximin_bandits.games import gamma
-
     fclass, _ = make_tree_class(1, 1)
     cert = gamma(fclass, 0.2)
     report = certify_lower_bound(
@@ -306,6 +325,124 @@ def test_certify_validation():
         certify_lower_bound(fclass, fixed_arm_prober(0), 0.2, 0.1, trials=0, seed=0)
     with pytest.raises(ValueError):
         certify_lower_bound(fclass, fixed_arm_prober(0), 0.2, 1.5, trials=5, seed=0)
+    with pytest.raises(IndexError, match="out of range"):
+        certify_lower_bound(fclass, lambda query, rng: query(np.array([0, 3])), 0.2, 0.1, 5, 0)
+    for output in (3, -1, 1.0, np.zeros(5)):
+        with pytest.raises(IndexError, match="invalid arm"):
+            certify_lower_bound(fclass, lambda query, rng: output, 0.2, 0.1, trials=5, seed=0)
+
+
+# The per-trial certifier that the chunked one replaced: one generator and
+# one scalar walk per trial.  The chunked report must equal it field for field.
+
+
+def reference_certify(fclass, prober, alpha, delta, trials, seed):
+    counts = np.zeros(fclass.n_arms)
+    budget = 0
+    for rng in (np.random.default_rng(trial_seed(seed, i)) for i in range(trials)):
+        used = 0
+
+        def query(arm: int) -> float:
+            nonlocal used
+            if not 0 <= arm < fclass.n_arms:
+                raise IndexError(f"arm {arm} out of range")
+            used += 1
+            if used > CERTIFY_BUDGET_CAP:
+                raise ValueError(
+                    f"prober exceeded the certification budget cap {CERTIFY_BUDGET_CAP}"
+                )
+            return float(rng.random() < 0.5)
+
+        output = prober(query, rng)
+        if not 0 <= output < fclass.n_arms:
+            raise IndexError("prober returned an invalid arm")
+        counts[output] += 1.0
+        budget = max(budget, used)
+
+    p_hat = ArmDistribution(counts / trials)
+    coverage = gap_matrix(fclass, alpha) @ p_hat.probs
+    worst = int(np.argmin(coverage))
+    bound = (1.0 - delta) * 2.0 ** (-budget)
+    slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+    return CertifyReport(
+        output_distribution=p_hat,
+        min_coverage=float(coverage[worst]),
+        worst_function=worst,
+        bound=bound,
+        slack=slack,
+        budget=budget,
+        trials=trials,
+        certified=bool(coverage[worst] >= bound - slack),
+    )
+
+
+def reference_tree_descent_prober(meta, reps_per_stage=1):
+    def prober(query, rng) -> int:
+        def stage_mean(arm: int, count: int) -> float:
+            total = 0
+            for _ in range(count):
+                total += query(arm)
+            return total / count
+
+        return descend_tree(meta, stage_mean, reps_per_stage, reps_per_stage)[1]
+
+    return prober
+
+
+def reference_witness_prober(p):
+    def prober(query, rng) -> int:
+        return p.sample(rng)
+
+    return prober
+
+
+def assert_same_report(got, want):
+    assert to_json(got) == to_json(want)
+    np.testing.assert_array_equal(got.output_distribution.probs, want.output_distribution.probs)
+
+
+@pytest.mark.parametrize("bucket_size", [1, 2, 3])
+@pytest.mark.parametrize("reps", [1, 2, 3])
+def test_certify_tree_descent_equals_the_per_trial_loop(monkeypatch, bucket_size, reps):
+    # 333 trials: three chunks of 100, then a part chunk
+    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 100)
+    fclass, meta = make_tree_class(2, bucket_size)
+    seed = 10 * bucket_size + reps
+    got = certify_lower_bound(fclass, tree_descent_prober(meta, reps), 0.2, 0.1, 333, seed)
+    want = reference_certify(fclass, reference_tree_descent_prober(meta, reps), 0.2, 0.1, 333, seed)
+    assert_same_report(got, want)
+    assert got.budget == reps * (2 + bucket_size)
+
+
+def test_certify_equals_the_per_trial_loop_over_a_full_chunk():
+    trials = harness._TRIAL_CHUNK + 5
+    fclass, meta = make_tree_class(3, 2)
+    got = certify_lower_bound(fclass, tree_descent_prober(meta, 2), 0.2, 0.1, trials, 8)
+    want = reference_certify(fclass, reference_tree_descent_prober(meta, 2), 0.2, 0.1, trials, 8)
+    assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("trials", [1, 333])
+def test_certify_zero_query_probers_equal_the_per_trial_loop(monkeypatch, trials):
+    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 100)
+    fclass, _ = make_tree_class(2, 2)
+    p_star = gamma(fclass, 0.3).p_star
+    for prober, reference in ((fixed_arm_prober(4), fixed_arm_prober(4)),
+                              (witness_prober(p_star), reference_witness_prober(p_star))):
+        got = certify_lower_bound(fclass, prober, 0.3, 0.1, trials, 5)
+        assert_same_report(got, reference_certify(fclass, reference, 0.3, 0.1, trials, 5))
+
+
+def test_certify_memory_does_not_grow_with_trials():
+    fclass, _ = make_tree_class(1, 1)
+    tracemalloc.start()
+    try:
+        report = certify_lower_bound(fclass, fixed_arm_prober(2), 0.2, 0.1, trials=10**6, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.output_distribution.probs.tolist() == [0.0, 0.0, 1.0]
+    assert peak < 16 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +457,30 @@ def test_adaptivity_experiment_small():
     assert report.separation_holds
     assert len(report.adaptive_records) == 200
     assert len(report.non_adaptive_records) == 200
+
+
+def test_adaptivity_draws_the_trials_once(monkeypatch):
+    calls = []
+    draw = harness._draw_trials
+    monkeypatch.setattr(harness, "_draw_trials", lambda *args: calls.append(args) or draw(*args))
+    report = adaptivity_experiment(3, trials=20, seed=11)
+    assert len(calls) == 1
+    for adaptive, baseline in zip(report.adaptive_records, report.non_adaptive_records):
+        assert adaptive.seed == baseline.seed
+
+
+def test_drawn_true_functions_equal_per_trial_generators():
+    # one block of the batch draw and a part block
+    config = tree_config(class_spec={"constructor": "tree", "depth": 3, "bucket_size": 3},
+                         trials=harness._TRIAL_CHUNK + 7)
+    fclass, _ = build_function_class(config.class_spec)
+    seeds, true_functions = harness._draw_trials(config, fclass)
+    assert seeds.tolist() == [trial_seed(99, i) for i in range(config.trials)]
+    np.testing.assert_array_equal(true_functions, [
+        np.random.default_rng(trial_seed(seed, 0)).integers(fclass.n_functions)
+        for seed in seeds.tolist()])
+    fixed = harness._draw_trials(replace(config, true_function=5), fclass)[1]
+    assert fixed.tolist() == [5] * config.trials
 
 
 def test_adaptivity_budget_grows_with_depth():
@@ -510,8 +671,6 @@ def test_sweep_rejects_per_cell_keys_in_grid(tmp_path, key):
     ],
 )
 def test_sweep_checks_grid_paths_against_the_fields(monkeypatch, path, message):
-    from maximin_bandits import harness
-
     def no_cell(config):
         raise AssertionError("a cell ran")
 
