@@ -32,6 +32,9 @@ __all__ = [
     "CapacityError",
     "MAX_ENTRIES",
     "check_entries",
+    "ceil_count",
+    "BLOCK_ENTRIES",
+    "block_rows",
     "PrecisionError",
     "config_number",
     "config_value",
@@ -45,6 +48,8 @@ __all__ = [
     "Transcript",
     "gap_matrix",
     "sample_rewards",
+    "draw_variates",
+    "rewards_from_variates",
     "two_point_support",
     "trial_seed",
     "trial_seeds",
@@ -79,6 +84,23 @@ def check_entries(what: str, rows, cols) -> None:
     """Call before allocating: CapacityError unless rows x cols <= the cap (NaN fails)."""
     if not rows * cols <= MAX_ENTRIES:
         raise CapacityError(f"{what} exceeds the cap of {MAX_ENTRIES} entries")
+
+
+def ceil_count(what: str, value: float) -> int:
+    """``math.ceil`` of a count; CapacityError naming it if it is not finite."""
+    if not math.isfinite(value):
+        raise CapacityError(f"{what} of {value:g} exceeds the cap of {MAX_ENTRIES} entries")
+    return math.ceil(value)
+
+
+#: Entries per array of a loop over blocks of rows (trials, seeds,
+#: queries), whatever its row count: 256 KiB of float64.
+BLOCK_ENTRIES = 1 << 15
+
+
+def block_rows(entries_per_row: int) -> int:
+    """Rows per block when each holds ``entries_per_row`` entries (one at least)."""
+    return max(1, BLOCK_ENTRIES // entries_per_row)
 
 
 class PrecisionError(ValueError):
@@ -190,17 +212,23 @@ def _add128(hi, lo, add_hi, add_lo) -> tuple:
     return hi + add_hi + (lo < add_lo), lo
 
 
+#: Entries of a trial's stream: four SeedSequence words, then the PCG64
+#: state and increment (two words each).
+_STREAM_ENTRIES = 8
+
+
 class TrialStreams:
     """One ``np.random.default_rng(seed)`` stream per seed of ``seeds`` (a
     1-D uint64 array, as :func:`trial_seeds` returns), held as arrays.
 
     Each trial's PCG64 state and increment are 128-bit numbers kept as
     uint64 arrays of high and low words, seeded from the words
-    :func:`_seed_words` derives as numpy's ``PCG64`` seeds them.  One call
-    steps every stream once (or once more, for the trials that reject an
-    ``integers`` draw) and returns one value per trial, bit for bit what
-    that trial's own generator returns.  The arithmetic stays on arrays:
-    a numpy scalar would warn where the products wrap.
+    :func:`_seed_words` derives (at the first draw) as numpy's ``PCG64``
+    seeds them.  One call steps every stream once (or once more, for the
+    trials that reject an ``integers`` draw) and returns one value per
+    trial, bit for bit what that trial's own generator returns.  The
+    arithmetic stays on arrays: a numpy scalar would warn where the
+    products wrap.
 
     It pays when each trial draws a few values: one numpy pass per value
     serves every trial, where a per-trial generator costs microseconds to
@@ -209,7 +237,11 @@ class TrialStreams:
     """
 
     def __init__(self, seeds: np.ndarray):
-        words = _seed_words(np.asarray(seeds, dtype=np.uint64))
+        self._seeds = np.asarray(seeds, dtype=np.uint64)
+        self._hi = None  # no state until the first draw
+
+    def _seed(self) -> None:
+        words = _seed_words(self._seeds)
         # numpy's pcg64_set_seed: state 0, inc = (w2:w3 << 1) | 1, step,
         # add w0:w1, step (word 0 and word 2 are the high halves)
         self._inc_hi = (words[:, 2] << 1) | (words[:, 3] >> 63)
@@ -218,11 +250,11 @@ class TrialStreams:
         self._hi, self._lo = self._step(*seeded)
         # next_uint32 hands out an output's low half and keeps its high half
         self._half = np.zeros_like(self._lo)
-        self._has_half = np.zeros(self._lo.size, dtype=bool)
+        self._has_half = np.zeros(self.size, dtype=bool)
 
     @property
     def size(self) -> int:
-        return self._lo.size
+        return self._seeds.size
 
     def _step(self, hi, lo, index=slice(None)) -> tuple:
         """``state * multiplier + inc`` mod 2^128, for the trials ``index``."""
@@ -239,6 +271,8 @@ class TrialStreams:
 
     def random(self) -> np.ndarray:
         """One ``Generator.random()`` double per trial."""
+        if self._hi is None:
+            self._seed()
         return (self._next64() >> 11) * 2.0**-53
 
     def integers(self, n: int) -> np.ndarray:
@@ -251,6 +285,8 @@ class TrialStreams:
         out = np.zeros(self.size, dtype=np.int64)
         if n == 1:
             return out
+        if self._hi is None:
+            self._seed()
         threshold = (1 << 32) % n  # a low word below it would bias the draw
         pending = np.arange(self.size)
         while pending.size:
@@ -285,12 +321,6 @@ def _seed_type() -> type:
     return TrialSeed
 
 
-#: Trials whose seeds one numpy pass of :func:`stream_seeds` derives:
-#: enough to amortise a pass, few enough that memory does not grow with
-#: the trial count.
-_SEED_BLOCK = 1024
-
-
 def stream_seeds(seeds: np.ndarray, stream: int) -> Iterator[int]:
     """Yield ``trial_seed(seed, stream)`` for each of ``seeds`` (a 1-D uint64
     array, as :func:`trial_seeds` returns), lazily.
@@ -302,8 +332,9 @@ def stream_seeds(seeds: np.ndarray, stream: int) -> Iterator[int]:
     a new ``SeedSequence``.
     """
     seed_type = _seed_type()
-    for start in range(0, seeds.size, _SEED_BLOCK):
-        block = trial_seeds(seeds[start:start + _SEED_BLOCK], stream)
+    rows = block_rows(_STREAM_ENTRIES)
+    for start in range(0, seeds.size, rows):
+        block = trial_seeds(seeds[start:start + rows], stream)
         for value, words in zip(block.tolist(), _seed_words(block)):
             seed = seed_type(value)
             seed.words = words
@@ -571,7 +602,10 @@ class NoiseSpec:
         if self.kind == "two-point":
             lo, hi, p_hi = two_point_support(mean, self.c)
             return p_hi * (hi - mean) ** 2 + (1.0 - p_hi) * (lo - mean) ** 2
-        return float(self.sigma) ** 2
+        try:
+            return float(self.sigma) ** 2
+        except OverflowError:
+            raise ValueError(f"noise.sigma {self.sigma} is too large: its square overflows") from None
 
     from_json = classmethod(partial(from_json, prefix="noise."))
 
@@ -640,28 +674,32 @@ def sample_rewards(model: Model, arm, count: int, rng: np.random.Generator) -> n
         # one row of draws per listed arm; the column of means broadcasts
         mu = model.true_means[arms][:, np.newaxis]
         shape = (arms.size, count)
-    kind = model.noise.kind
-    if kind == "deterministic":
-        rewards = np.full(shape, mu)
-    elif kind == "gaussian":
-        rewards = rng.standard_normal(shape)
-        rewards *= model.noise.sigma
-        rewards += mu
-    else:
-        rewards = _rewards_from_uniforms(model.noise, mu, rng.random(shape))
-    return rewards.ravel()
+    variates = draw_variates(model.noise, rng, np.empty(shape))
+    return rewards_from_variates(model.noise, mu, variates).ravel()
 
 
-def _rewards_from_uniforms(noise: NoiseSpec, mu, u: np.ndarray) -> np.ndarray:
-    """Rewards of the bernoulli, two-point and heavy-tail laws, one per
-    uniform in ``u``, at the means ``mu`` (which broadcast against ``u``).
+def draw_variates(noise: NoiseSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with one variate per reward and return it: a standard
+    normal (gaussian), none (deterministic) or an ``rng.random`` double."""
+    if noise.kind == "gaussian":
+        rng.standard_normal(out=out)
+    elif noise.kind != "deterministic":
+        rng.random(out=out)
+    return out
 
-    Each of these laws reads exactly one ``rng.random`` double per reward,
-    so a caller that draws the uniforms itself gets the rewards, and leaves
-    the generator, as :func:`sample_rewards` would.  The rewards are
-    written over ``u``, which is returned, so a draw holds one float per
-    reward at its peak.
-    """
+
+def rewards_from_variates(noise: NoiseSpec, mu, u: np.ndarray) -> np.ndarray:
+    """The rewards of ``noise`` at the means ``mu`` (broadcast against ``u``),
+    one per variate of ``u`` as :func:`draw_variates` draws them, written
+    over ``u`` and returned: the one map from variates to rewards, so a
+    caller that draws its own variates gets what :func:`sample_rewards` would."""
+    if noise.kind == "deterministic":
+        np.copyto(u, mu)
+        return u
+    if noise.kind == "gaussian":
+        u *= noise.sigma
+        u += mu
+        return u
     if noise.kind == "bernoulli":
         return np.less(u, mu, out=u)
     if noise.kind == "two-point":

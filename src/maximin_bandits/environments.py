@@ -112,47 +112,6 @@ class TreeMeta:
     def n_functions(self) -> int:
         return self.leaf_count * self.bucket_size
 
-    def internal_arm_of(self, path) -> int:
-        """Arm index of the internal node reached by a bit path from the root.
-
-        The empty path is the root; bit 0 descends left, 1 right.  Valid for
-        path lengths 0 .. depth-1.
-        """
-        bits = tuple(path)
-        if not 0 <= len(bits) < self.depth:
-            raise IndexError("path length must lie in [0, depth)")
-        position = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("path entries must be bits")
-            position = 2 * position + b
-        return (1 << len(bits)) - 1 + position
-
-    def path_to_leaf(self, leaf: int) -> tuple[int, ...]:
-        if not 0 <= leaf < self.leaf_count:
-            raise IndexError("leaf index out of range")
-        return tuple((leaf >> (self.depth - 1 - lvl)) & 1 for lvl in range(self.depth))
-
-    def bucket_arms_of(self, leaf: int) -> range:
-        if not 0 <= leaf < self.leaf_count:
-            raise IndexError("leaf index out of range")
-        start = self.n_internal + leaf * self.bucket_size
-        return range(start, start + self.bucket_size)
-
-    def function_index(self, leaf: int, slot: int) -> int:
-        if not 0 <= slot < self.bucket_size:
-            raise IndexError("slot index out of range")
-        return leaf * self.bucket_size + slot
-
-    def leaf_of_function(self, function: int) -> int:
-        if not 0 <= function < self.n_functions:
-            raise IndexError("function index out of range")
-        return function // self.bucket_size
-
-    def optimal_arm_of(self, function: int) -> int:
-        self.leaf_of_function(function)  # the range check
-        return self.n_internal + function
-
 
 def make_tree_class(depth: int, bucket_size: int) -> tuple[FunctionClass, TreeMeta]:
     """Binary-tree class: one function per candidate rewarding bucket arm.

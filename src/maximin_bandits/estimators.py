@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numpy as np
-from .core import check_entries
+from .core import ceil_count, check_entries
 
 __all__ = [
     "chernoff_sample_count",
@@ -33,7 +33,8 @@ def chernoff_sample_count(alpha: float, delta: float, m: int) -> int:
         raise ValueError("delta must lie in (0, 1)")
     if m < 1:
         raise ValueError("m must be >= 1")
-    count = np.ceil(8.0 / (alpha * alpha) * math.log(4.0 * m / delta))  # stays inf on overflow
+    square = alpha * alpha  # 0 for an alpha below about 1.6e-162: the count is infinite
+    count = np.ceil(8.0 / square * math.log(4.0 * m / delta)) if square else np.inf
     check_entries(f"sample of {m} arms x {count:g} queries each", m, count)
     return int(count)
 
@@ -50,7 +51,9 @@ def median_of_means_sample_count(alpha: float, delta: float, m: int, sigma: floa
         raise ValueError("m must be >= 1")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    count = np.ceil(16.0 * DEFAULT_CM * sigma * sigma * math.log(2.0 * m / delta) / (alpha * alpha))
+    spread = 16.0 * DEFAULT_CM * sigma * sigma * math.log(2.0 * m / delta)
+    square = alpha * alpha  # 0 for an alpha below about 1.6e-162: the count is infinite
+    count = np.ceil(spread / square) if square else np.inf
     check_entries(f"sample of {m} arms x {count:g} queries each", m, count)
     return int(count)
 
@@ -59,7 +62,7 @@ def mom_groups(delta: float) -> int:
     """Group count ceil(ln(2/delta)) used by the median-of-means learner."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return max(1, math.ceil(math.log(2.0 / delta)))
+    return max(1, ceil_count("median-of-means group count", math.log(2.0 / delta)))
 
 
 def median_of_means(samples, groups: int) -> float:

@@ -31,7 +31,9 @@ from .core import (
     NoiseSpec,
     Transcript,
     TrialStreams,
+    _STREAM_ENTRIES,
     _json_fields,
+    block_rows,
     check_entries,
     check_keys,
     config_number,
@@ -82,11 +84,6 @@ __all__ = [
 #: output-distribution argument enumerates binary answer strings, so the
 #: certified floor (1 - delta) / 2^T is vacuous beyond small T.
 CERTIFY_BUDGET_CAP = 20
-
-#: Trials per lock-step chunk of ``certify_lower_bound``, and per block of
-#: drawn true functions: enough to amortise the numpy passes of
-#: :class:`TrialStreams`, few enough that memory does not grow with trials.
-_TRIAL_CHUNK = 4096
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -167,6 +164,8 @@ def build_function_class(spec: dict) -> tuple[FunctionClass, TreeMeta | None]:
         check_keys(spec, ("means", "arms", "functions", "labels"), "class key", "class.")
         return FunctionClass.from_json(spec), None
     ctor = spec.get("constructor")
+    if ctor is not None:
+        config_value(ctor, str, "class.constructor")
     if ctor not in _CONSTRUCTOR_FIELDS:
         raise ValueError(f"unknown class spec {spec!r}")
     check_keys(spec, ("constructor", *_CONSTRUCTOR_FIELDS[ctor]), "class key", "class.")
@@ -343,9 +342,10 @@ def _draw_trials(config: ExperimentConfig, fclass: FunctionClass) -> tuple:
     seeds = trial_seeds(config.seed, np.arange(config.trials))
     if config.true_function is not None:
         return seeds, np.full(config.trials, int(config.true_function))
+    rows = block_rows(_STREAM_ENTRIES)
     true_functions = np.concatenate([
-        TrialStreams(trial_seeds(seeds[start:start + _TRIAL_CHUNK], 0)).integers(fclass.n_functions)
-        for start in range(0, seeds.size, _TRIAL_CHUNK)])
+        TrialStreams(trial_seeds(seeds[start:start + rows], 0)).integers(fclass.n_functions)
+        for start in range(0, seeds.size, rows)])
     return seeds, true_functions
 
 
@@ -481,7 +481,9 @@ def certify_lower_bound(
 
     Each trial draws at most ``CERTIFY_BUDGET_CAP`` values, so the chunk's
     streams are one array kernel, not a generator per trial; both give the
-    bytes of ``default_rng(trial_seed(seed, i))``.
+    bytes of ``default_rng(trial_seed(seed, i))``.  The kernel derives its
+    seed words at the first draw, so a prober that draws nothing
+    (:func:`fixed_arm_prober`) costs only the trial seeds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -490,8 +492,9 @@ def certify_lower_bound(
     n_arms = fclass.n_arms
     counts = np.zeros(n_arms)
     budget = 0
-    for start in range(0, trials, _TRIAL_CHUNK):
-        chunk = np.arange(start, min(start + _TRIAL_CHUNK, trials))
+    rows = block_rows(_STREAM_ENTRIES)
+    for start in range(0, trials, rows):
+        chunk = np.arange(start, min(start + rows, trials))
         streams = TrialStreams(trial_seeds(seed, chunk))
         used = 0
 
@@ -697,7 +700,8 @@ def _grid_cell(kind: type, value, name: str, class_spec):
     an inline class, or if it does not convert."""
     if kind is dict and name.startswith("class.") and isinstance(class_spec, dict) \
             and "means" not in class_spec:
-        fields_of = _CONSTRUCTOR_FIELDS.get(class_spec.get("constructor"), {})
+        ctor = class_spec.get("constructor")
+        fields_of = _CONSTRUCTOR_FIELDS.get(ctor, {}) if isinstance(ctor, str) else {}
         kind = fields_of.get(name.removeprefix("class."), dict)
     if kind in (int, float):
         try:

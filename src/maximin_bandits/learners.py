@@ -18,6 +18,13 @@ Four strategies, all emitting full interaction transcripts:
 Plus :func:`run_non_adaptive_uniform`, the fixed-schedule baseline the tree
 class defeats.
 
+Tree descent and the baseline each have one implementation, a kernel that
+runs a chunk of trials as arrays (``run_*_trials`` runs an experiment's
+trials through it); their single-trial functions are one trial of the
+kernel, with a transcript built from what it drew.  Every reward comes
+from ``core``'s one reward law (:func:`sample_rewards`, or
+:func:`rewards_from_variates` of the variates a caller drew itself).
+
 Every learner is a pure function of its arguments and an integer seed, and
 reads its function class from its model; the query schedule of the
 coverage-sampling learners depends on the class and parameters only, never
@@ -40,10 +47,13 @@ from .core import (
     Model,
     NoiseSpec,
     Transcript,
+    block_rows,
+    ceil_count,
+    check_entries,
+    draw_variates,
     from_json,
     gap_matrix,
-    _rewards_from_uniforms,
-    check_entries,
+    rewards_from_variates,
     sample_rewards,
 )
 from .dec import _dec_search, dec_at, version_set
@@ -76,14 +86,6 @@ __all__ = [
 #: so testing the node's empirical mean against 1/2 leaves a 1/6 margin.
 TREE_THRESHOLD = 0.5
 TREE_NODE_FACTOR = 18.0
-
-#: Rows per block of the batched oracle pass, so its memory is
-#: O(ORACLE_BLOCK x (functions + arms)) whatever the horizon.
-ORACLE_BLOCK = 1024
-#: Entries per array of a chunk of trials run at once (a chunk's draws,
-#: stage blocks and trials x arms pooling tables), so a batched run's
-#: memory is bounded whatever its trial count; 256 KiB of float64.
-TRIAL_BLOCK = 1 << 15
 
 #: Learning rate of the exponential-weights regression oracle.
 ORACLE_LEARNING_RATE = 0.5
@@ -134,7 +136,7 @@ def _draw_count(gamma: float, delta: float) -> int:
         raise UnlearnableInstanceError(
             "coverage value is zero at alpha/2; no query budget can help"
         )
-    return math.ceil(math.log(2.0 / delta) / gamma)
+    return ceil_count("witness draw count", math.log(2.0 / delta) / gamma)
 
 
 def _coverage_sampling(model: Model, p: ArmDistribution, m: int, n_per: int,
@@ -264,8 +266,47 @@ def _descent_counts(meta: TreeMeta, params: LearnerParams, fclass: FunctionClass
     if noise.kind not in ("deterministic", "bernoulli"):
         raise ValueError("tree descent expects deterministic or Bernoulli rewards")
     stages = meta.depth + meta.bucket_size
-    n_node = math.ceil(TREE_NODE_FACTOR * math.log(4.0 * stages / params.delta))
+    n_node = ceil_count("per-node query count",
+                        TREE_NODE_FACTOR * math.log(4.0 * stages / params.delta))
     return n_node, chernoff_sample_count(params.alpha, params.delta, stages)
+
+
+def _descent_chunk(meta: TreeMeta, fclass: FunctionClass, noise: NoiseSpec, n_node: int,
+                   n_leaf: int, true_functions: np.ndarray, seeds) -> tuple:
+    """Tree descent on a chunk of trials, trial i on the model ``(fclass,
+    true_functions[i], noise)`` and ``default_rng(seeds[i])``: one
+    :func:`descend_tree` walk over arrays of nodes.  Returns each stage's
+    arm (an int, or one per trial), each trial's leaf and output arm, and
+    the (trials, queries) draws.
+
+    A Bernoulli trial draws its whole budget in one call, the doubles its
+    stages would draw one after another, and a stage mean counts the
+    stage's draws under the mean (a sum of 0/1 rewards is exact).
+    Deterministic trials draw nothing (no columns); a stage mean is then
+    ``np.full(count, mu).sum() / count`` of each distinct mean.
+    """
+    queries = meta.depth * n_node + meta.bucket_size * n_leaf
+    bernoulli = noise.kind == "bernoulli"
+    draws = np.empty((len(true_functions), queries if bernoulli else 0))
+    if bernoulli:
+        for row, seed in zip(draws, seeds):
+            np.random.default_rng(seed).random(out=row)
+    stage_arms = []
+    used = 0
+
+    def stage_mean(arms, count: int) -> np.ndarray:
+        nonlocal used
+        stage_arms.append(arms)
+        mu = fclass.means[true_functions, arms]
+        if not bernoulli:
+            values, which = np.unique(mu, return_inverse=True)
+            return np.array([np.full(count, v).sum() for v in values])[which] / count
+        block = draws[:, used:used + count]
+        used += count
+        return np.count_nonzero(block < mu[:, None], axis=1) / count
+
+    leaf, output_arms = descend_tree(meta, stage_mean, n_node, n_leaf)
+    return stage_arms, leaf, output_arms, draws
 
 
 def run_tree_descent(
@@ -274,7 +315,9 @@ def run_tree_descent(
     model: Model,
     seed: int,
 ) -> Transcript:
-    """Adaptive descent on the binary-tree class.
+    """Adaptive descent on the binary-tree class: one trial of the kernel
+    that :func:`run_tree_descent_trials` runs, its rewards rebuilt from the
+    kernel's draws.
 
     At each of the d internal stages the current node is queried
     ceil(18 ln(4 S / delta)) times (S = d + bucket_size stages in total) and
@@ -284,37 +327,33 @@ def run_tree_descent(
     bucket_size * leaf_count, logarithmic in the class size.
     """
     n_node, n_leaf = _descent_counts(meta, params, model.function_class, model.noise)
-    rng = np.random.default_rng(seed)
-    stage_log: list[tuple[int, int]] = []
-    rewards_chunks: list[np.ndarray] = []
-
-    def stage_mean(arm: int, count: int) -> float:
-        block = sample_rewards(model, arm, count, rng)
-        stage_log.append((arm, count))
-        rewards_chunks.append(block)
-        return block.sum() / count  # the division np.mean does
-
-    leaf, winner = descend_tree(meta, stage_mean, n_node, n_leaf)
-    arms, counts = zip(*stage_log)
+    stage_arms, leaf, winner, draws = _descent_chunk(
+        meta, model.function_class, model.noise, n_node, n_leaf,
+        np.array([model.true_function]), [seed])
+    runs = np.hstack(stage_arms)
+    counts = np.repeat([n_node, n_leaf], [meta.depth, meta.bucket_size])
+    # a deterministic trial draws nothing: its rewards fill a fresh array
+    variates = draws[0] if draws.size else np.empty(counts.sum())
     return Transcript(
         learner_name="tree-descent",
         seed=seed,
-        runs=np.array(arms, dtype=np.int64),
-        run_lengths=np.array(counts, dtype=np.int64),
-        rewards=np.concatenate(rewards_chunks),
-        output_arm=int(winner),
-        meta={"leaf": int(leaf), "per_node": n_node, "per_leaf_arm": n_leaf},
+        runs=runs,
+        run_lengths=counts,
+        rewards=rewards_from_variates(model.noise, np.repeat(model.true_means[runs], counts),
+                                      variates),
+        output_arm=int(winner[0]),
+        meta={"leaf": int(leaf[0]), "per_node": n_node, "per_leaf_arm": n_leaf},
     )
 
 
-def _trial_chunks(true_functions: np.ndarray, seeds, entries_per_trial: int):
-    """Chunks of ``TRIAL_BLOCK // entries_per_trial`` trials (one at least):
-    yield each chunk's true functions and an iterator over its seeds."""
-    per_chunk = max(1, TRIAL_BLOCK // entries_per_trial)
-    seeds = iter(seeds)
-    for start in range(0, len(true_functions), per_chunk):
-        chunk = true_functions[start:start + per_chunk]
-        yield chunk, itertools.islice(seeds, len(chunk))
+def _chunked_output_arms(kernel, true_functions: np.ndarray, seeds,
+                         entries_per_trial: int) -> np.ndarray:
+    """Each trial's output arm, ``kernel(chunk, chunk_seeds)[2]``, over
+    chunks of ``block_rows(entries_per_trial)`` trials."""
+    rows, seeds = block_rows(entries_per_trial), iter(seeds)
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        kernel(true_functions[start:start + rows], itertools.islice(seeds, rows))[2]
+        for start in range(0, len(true_functions), rows)])
 
 
 def run_tree_descent_trials(
@@ -328,42 +367,16 @@ def run_tree_descent_trials(
     """:func:`run_tree_descent` over many trials: trial i runs on the model
     ``(fclass, true_functions[i], noise)`` and the generator
     ``default_rng(seeds[i])``.  Returns each trial's total queries and output
-    arm, equal to that trial's transcript's.
-
-    The trials run in chunks through one :func:`descend_tree` walk over int
-    arrays of nodes.  A Bernoulli trial draws its whole budget in one call,
-    the doubles its stages would draw one after another; a stage mean is
-    the count of its draws under the mean, over the stage's query count,
-    as the sum of 0/1 rewards is exact.  Deterministic rewards draw
-    nothing, and a stage mean is the per-trial ``np.full(count, mu).sum() /
-    count`` of each distinct mean.
+    arm, equal to that trial's transcript's, from chunks of trials run
+    through the one kernel, :func:`_descent_chunk`.
     """
     n_node, n_leaf = _descent_counts(meta, params, fclass, noise)
     queries = meta.depth * n_node + meta.bucket_size * n_leaf
-    output_arms = np.empty(len(true_functions), dtype=np.int64)
-    done = 0
-    # deterministic chunks hold only per-trial vectors
+    kernel = partial(_descent_chunk, meta, fclass, noise, n_node, n_leaf)
+    # a Bernoulli row holds its draws; a deterministic one, per-trial values
     per_trial = queries if noise.kind == "bernoulli" else 1
-    for chunk, chunk_seeds in _trial_chunks(true_functions, seeds, per_trial):
-        if noise.kind == "bernoulli":
-            draws = np.empty((len(chunk), queries))
-            for row, seed in zip(draws, chunk_seeds):
-                np.random.default_rng(seed).random(out=row)
-        used = 0
-
-        def stage_mean(arms: np.ndarray, count: int) -> np.ndarray:
-            nonlocal used
-            mu = fclass.means[chunk, arms]
-            if noise.kind == "deterministic":
-                values, which = np.unique(mu, return_inverse=True)
-                return np.array([np.full(count, v).sum() for v in values])[which] / count
-            block = draws[:, used:used + count]
-            used += count
-            return np.count_nonzero(block < mu[:, None], axis=1) / count
-
-        output_arms[done:done + len(chunk)] = descend_tree(meta, stage_mean, n_node, n_leaf)[1]
-        done += len(chunk)
-    return np.full(len(true_functions), queries), output_arms
+    return (np.full(len(true_functions), queries),
+            _chunked_output_arms(kernel, true_functions, seeds, per_trial))
 
 
 def _check_schedule(budget: int, reps_per_arm: int) -> None:
@@ -391,13 +404,36 @@ def _pooled_winners(positions: np.ndarray, rewards: np.ndarray, n_arms: int,
     return pooled.reshape(trials, n_arms).argmax(axis=1)
 
 
+def _uniform_chunk(budget: int, reps_per_arm: int, fclass: FunctionClass, noise: NoiseSpec,
+                   true_functions: np.ndarray, seeds) -> tuple:
+    """The baseline on a chunk of trials, trial i on the model ``(fclass,
+    true_functions[i], noise)`` and ``default_rng(seeds[i])``, which draws
+    its positions, then its reward variates, as :func:`sample_rewards`
+    would.  Returns the (trials, budget) positions, the (trials, budget,
+    reps_per_arm) rewards and each trial's output arm.
+    """
+    n_arms = fclass.n_arms
+    positions = np.empty((len(true_functions), budget), dtype=np.int64)
+    draws = np.empty((len(true_functions), budget, reps_per_arm))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        # the whole schedule is committed here, before the first reward
+        positions[row] = rng.integers(0, n_arms, size=budget)
+        draw_variates(noise, rng, draws[row])
+    mu = fclass.means[true_functions[:, None], positions][:, :, None]
+    rewards = rewards_from_variates(noise, mu, draws)
+    return positions, rewards, _pooled_winners(positions, rewards, n_arms, reps_per_arm)
+
+
 def run_non_adaptive_uniform(
     budget: int,
     reps_per_arm: int,
     model: Model,
     seed: int,
 ) -> Transcript:
-    """Fixed-schedule baseline: query positions chosen before any observation.
+    """Fixed-schedule baseline: query positions chosen before any
+    observation; one trial of the kernel that
+    :func:`run_non_adaptive_uniform_trials` runs.
 
     Draws ``budget`` positions i.i.d. uniform over the arms, queries each
     position ``reps_per_arm`` times, pools the rewards per arm, and outputs
@@ -405,18 +441,16 @@ def run_non_adaptive_uniform(
     the budget is zero).
     """
     _check_schedule(budget, reps_per_arm)
-    rng = np.random.default_rng(seed)
-    n_arms = model.function_class.n_arms
-    # the whole schedule is committed here, before the first reward
-    positions = rng.integers(0, n_arms, size=budget)
-    rewards = sample_rewards(model, positions, reps_per_arm, rng)
+    positions, rewards, winners = _uniform_chunk(
+        budget, reps_per_arm, model.function_class, model.noise,
+        np.array([model.true_function]), [seed])
     return Transcript(
         learner_name="non-adaptive-uniform",
         seed=seed,
-        runs=positions,
+        runs=positions[0],
         run_lengths=reps_per_arm,
-        rewards=rewards,
-        output_arm=int(_pooled_winners(positions[None], rewards, n_arms, reps_per_arm)[0]),
+        rewards=rewards[0].ravel(),
+        output_arm=int(winners[0]),
         meta={"budget": budget, "reps_per_arm": reps_per_arm},
     )
 
@@ -432,41 +466,18 @@ def run_non_adaptive_uniform_trials(
     """:func:`run_non_adaptive_uniform` over many trials: trial i runs on the
     model ``(fclass, true_functions[i], noise)`` and the generator
     ``default_rng(seeds[i])``.  Returns each trial's total queries and output
-    arm, equal to that trial's transcript's.
-
-    Each trial draws its positions, then its reward variates, on its own
-    generator, as :func:`sample_rewards` draws them; a chunk of trials maps
-    its variates to rewards in one pass and pools them in one
+    arm, equal to that trial's transcript's, from chunks of trials run
+    through the one kernel, :func:`_uniform_chunk`, which maps a chunk's
+    variates to rewards in one pass and pools them in one
     :func:`_pooled_winners` call.
     """
     _check_schedule(budget, reps_per_arm)
-    n_arms = fclass.n_arms
     queries = budget * reps_per_arm
-    output_arms = np.empty(len(true_functions), dtype=np.int64)
-    done = 0
-    for chunk, chunk_seeds in _trial_chunks(true_functions, seeds, max(queries, n_arms)):
-        positions = np.empty((len(chunk), budget), dtype=np.int64)
-        draws = np.empty((len(chunk), budget, reps_per_arm))
-        for row, seed in enumerate(chunk_seeds):
-            rng = np.random.default_rng(seed)
-            positions[row] = rng.integers(0, n_arms, size=budget)
-            if noise.kind == "gaussian":
-                rng.standard_normal(out=draws[row])
-            elif noise.kind != "deterministic":
-                rng.random(out=draws[row])
-        mu = fclass.means[chunk[:, None], positions][:, :, None]
-        if noise.kind == "deterministic":
-            rewards = np.broadcast_to(mu, draws.shape)
-        elif noise.kind == "gaussian":
-            rewards = draws
-            rewards *= noise.sigma
-            rewards += mu
-        else:
-            rewards = _rewards_from_uniforms(noise, mu, draws)
-        output_arms[done:done + len(chunk)] = _pooled_winners(
-            positions, rewards, n_arms, reps_per_arm)
-        done += len(chunk)
-    return np.full(len(true_functions), queries), output_arms
+    kernel = partial(_uniform_chunk, budget, reps_per_arm, fclass, noise)
+    # a row holds its positions, its draws and its pooling table
+    per_trial = budget + queries + fclass.n_arms
+    return (np.full(len(true_functions), queries),
+            _chunked_output_arms(kernel, true_functions, seeds, per_trial))
 
 
 def _exp_weights(cum_loss: np.ndarray) -> np.ndarray:
@@ -526,15 +537,18 @@ class OnlineRegressionOracle:
 def oracle_weights(means: np.ndarray, arms: np.ndarray, rewards: np.ndarray):
     """Yield the oracle's weights before each query of a history, in blocks.
 
-    Block by block of at most ``ORACLE_BLOCK`` queries, yields the (block,
-    functions) matrix whose row i is :class:`OnlineRegressionOracle`'s
-    ``weights`` just before query i of the block, bit for bit: the losses are
-    summed by one ``np.cumsum`` over rows that start with the loss carried
-    from the previous block, which adds in the order of the oracle's ``+=``.
+    Block by block of ``block_rows(functions + arms)`` queries (a row's
+    weights, then the mixture of the class rows a caller makes of them),
+    yields the (block, functions) matrix whose row i is
+    :class:`OnlineRegressionOracle`'s ``weights`` just before query i of
+    the block, bit for bit: the losses are summed by one ``np.cumsum`` over
+    rows that start with the loss carried from the previous block, which
+    adds in the order of the oracle's ``+=``.
     """
     carry = np.zeros((1, means.shape[0]))
-    for start in range(0, len(arms), ORACLE_BLOCK):
-        stop = start + ORACLE_BLOCK
+    rows = block_rows(sum(means.shape))
+    for start in range(0, len(arms), rows):
+        stop = start + rows
         diff = means[:, arms[start:stop]].T - rewards[start:stop, None]
         cum_loss = np.cumsum(np.concatenate([carry, diff * diff]), axis=0)
         yield _exp_weights(cum_loss[:-1])
@@ -570,11 +584,11 @@ def _explore(model, fixed, eps_bar, half_alpha, J, rng):
     """
     kind = model.noise.kind
     if fixed is not None and kind != "gaussian":
+        # a round's arm, then its reward variate; deterministic rewards read
+        # none, and their means are written over the spent arm column
         u = rng.random((J, 1 if kind == "deterministic" else 2))
         arms = fixed.q_witness._inverse_cdf(u[:, 0])
-        rewards = model.true_means[arms]
-        if kind != "deterministic":
-            rewards = _rewards_from_uniforms(model.noise, rewards, u[:, 1])
+        rewards = rewards_from_variates(model.noise, model.true_means[arms], u[:, -1])
         return arms, rewards, [fixed] * J
 
     oracle = OnlineRegressionOracle(model.function_class)
@@ -641,7 +655,7 @@ def run_e2d(
     fclass = model.function_class
     if params.horizon is None:
         raise ValueError("e2d learner requires params.horizon")
-    L = math.ceil(math.log2(4.0 / params.delta))
+    L = ceil_count("e2d branch count L", math.log2(4.0 / params.delta))
     if params.horizon < L + 1:
         raise ValueError(f"horizon must be at least L + 1 = {L + 1}")
     check_entries(f"e2d horizon {params.horizon}", params.horizon, 1)

@@ -351,6 +351,9 @@ def test_variance_bounds():
     assert NoiseSpec.bernoulli().variance_bound(0.5) == pytest.approx(0.25)
     assert NoiseSpec.gaussian(2.0).variance_bound(0.1) == pytest.approx(4.0)
     assert NoiseSpec.heavy_tail(1.5).variance_bound(0.9) == pytest.approx(2.25)
+    for noise in (NoiseSpec.heavy_tail(1e300), NoiseSpec.gaussian(1e300)):
+        with pytest.raises(ValueError, match="noise.sigma 1e[+]300 is too large"):
+            noise.variance_bound(0.5)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.5))

@@ -20,6 +20,15 @@ from maximin_bandits.environments import (
 )
 from maximin_bandits.games import gamma
 
+from _tree_oracle import (
+    bucket_arms_of,
+    function_index,
+    internal_arm_of,
+    leaf_of_function,
+    optimal_arm_of,
+    path_to_leaf,
+)
+
 
 # ---------------------------------------------------------------------------
 # identity-style classes
@@ -96,13 +105,13 @@ def test_tree_meta_geometry():
     assert meta.leaf_count == 4
     assert meta.n_arms == 3 + 4 * 3
     assert meta.n_functions == 12
-    assert meta.internal_arm_of([]) == 0
-    assert meta.internal_arm_of([0]) == 1
-    assert meta.internal_arm_of([1]) == 2
-    assert tuple(meta.path_to_leaf(2)) == (1, 0)
-    assert list(meta.bucket_arms_of(1)) == [6, 7, 8]
-    assert meta.function_index(2, 1) == 7
-    assert meta.leaf_of_function(7) == 2
+    assert internal_arm_of(meta, []) == 0
+    assert internal_arm_of(meta, [0]) == 1
+    assert internal_arm_of(meta, [1]) == 2
+    assert tuple(path_to_leaf(meta, 2)) == (1, 0)
+    assert list(bucket_arms_of(meta, 1)) == [6, 7, 8]
+    assert function_index(meta, 2, 1) == 7
+    assert leaf_of_function(meta, 7) == 2
 
 
 def test_tree_rows_have_expected_values():
@@ -113,8 +122,8 @@ def test_tree_rows_have_expected_values():
     assert row[0] == pytest.approx(RIGHT_VALUE)
     assert row[2] == pytest.approx(LEFT_VALUE)
     assert row[1] == 0.0
-    assert row[meta.optimal_arm_of(2)] == 1.0
-    assert row[meta.optimal_arm_of(2)] == row.max()
+    assert row[optimal_arm_of(meta, 2)] == 1.0
+    assert row[optimal_arm_of(meta, 2)] == row.max()
     assert np.count_nonzero(row) == 3
 
 
@@ -124,19 +133,19 @@ def test_tree_all_functions_have_unique_peak():
         row = fclass.row(f)
         assert row.max() == 1.0
         assert np.count_nonzero(row == 1.0) == 1
-        assert int(np.argmax(row)) == meta.optimal_arm_of(f)
+        assert int(np.argmax(row)) == optimal_arm_of(meta, f)
 
 
 def path_built_tree_means(meta):
     """The tree matrix built function by function from root-to-leaf paths."""
     means = np.zeros((meta.n_functions, meta.n_arms))
     for leaf in range(meta.leaf_count):
-        bits = meta.path_to_leaf(leaf)
+        bits = path_to_leaf(meta, leaf)
         for slot in range(meta.bucket_size):
-            f = meta.function_index(leaf, slot)
+            f = function_index(meta, leaf, slot)
             for level, bit in enumerate(bits):
-                means[f, meta.internal_arm_of(bits[:level])] = RIGHT_VALUE if bit else LEFT_VALUE
-            means[f, meta.bucket_arms_of(leaf)[slot]] = 1.0
+                means[f, internal_arm_of(meta, bits[:level])] = RIGHT_VALUE if bit else LEFT_VALUE
+            means[f, bucket_arms_of(meta, leaf)[slot]] = 1.0
     return means
 
 
@@ -148,7 +157,7 @@ def test_tree_heap_order_matches_the_path_built_matrix(depth, bucket_size):
     assert fclass.means.shape == expected.shape
     assert fclass.means.tobytes() == expected.tobytes()
     for f in range(meta.n_functions):
-        assert meta.optimal_arm_of(f) == meta.bucket_arms_of(meta.leaf_of_function(f))[f % bucket_size]
+        assert optimal_arm_of(meta, f) == meta.n_internal + f  # the heap-order bucket arm
 
 
 def test_tree_gamma_closed_form_small():

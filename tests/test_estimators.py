@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maximin_bandits.core import CapacityError
 from maximin_bandits.estimators import (
     chernoff_sample_count,
     median_of_means,
@@ -32,6 +33,20 @@ def test_chernoff_sample_count_validation():
         chernoff_sample_count(0.5, 1.0, 1)
     with pytest.raises(ValueError):
         chernoff_sample_count(0.5, 0.1, 0)
+
+
+def test_counts_at_extreme_alpha_and_delta_are_capacity_errors():
+    # alpha^2 underflows to 0 (1e-320), or the count overflows a float
+    # (1e-160, delta 5e-324); each names the count instead of escaping
+    # as ZeroDivisionError or OverflowError
+    for alpha, delta in ((1e-320, 0.1), (1e-160, 0.1), (0.2, 5e-324)):
+        with pytest.raises(CapacityError, match="sample of 3 arms x inf queries each"):
+            chernoff_sample_count(alpha, delta, 3)
+        with pytest.raises(CapacityError, match="sample of 3 arms x inf queries each"):
+            median_of_means_sample_count(alpha, delta, 3, 0.3)
+    with pytest.raises(CapacityError, match="median-of-means group count of inf exceeds the cap"):
+        mom_groups(5e-324)
+    assert mom_groups(1e-300) == math.ceil(math.log(2e300))
 
 
 def test_mom_sample_count_frozen_value():

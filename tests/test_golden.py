@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from maximin_bandits import core
 from maximin_bandits.cli import main
 from maximin_bandits.core import FunctionClass, Model, NoiseSpec
 from maximin_bandits.environments import make_k_armed, make_tree_class
@@ -454,3 +455,29 @@ def test_command_json_output_is_strict_json(tmp_path, monkeypatch, capsys, name)
     for payload in (printed, written):
         if payload:
             json.loads(payload, parse_constant=refuse_constant)
+
+
+# Every loop that works in blocks sizes them from one budget,
+# ``core.BLOCK_ENTRIES``, and its results must not depend on where the
+# blocks split.  At 64 entries every loop splits on the runs above: 8
+# trials per block of seeds, of certify and of drawn true functions; one
+# Bernoulli tree-descent trial (64 deterministic ones) and one baseline
+# trial per chunk; 7 oracle rows of e2d on the 4 x 5 class.
+
+SPLIT_COMMANDS = sorted(name for name, case in GOLDEN_COMMANDS.items()
+                        if case[0][0] in ("run", "sweep", "certify", "adaptivity"))
+
+
+def test_digests_hold_when_every_chunked_loop_splits(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 64)
+    assert core.block_rows(core._STREAM_ENTRIES) == 8
+    for name in sorted(GOLDEN):
+        assert run_digest(tmp_path, capsys, name) == GOLDEN[name][2], name
+    for name in SPLIT_COMMANDS:
+        printed, written = command_outputs(tmp_path, monkeypatch, capsys, name)
+        payload = printed if written is None else written
+        assert hashlib.sha256(payload).hexdigest() == GOLDEN_COMMANDS[name][2], name
+    for name in sorted(GOLDEN_E2D_META):
+        meta = e2d_meta_run(name).meta
+        payload = json.dumps({key: meta[key] for key in E2D_META_KEYS}).encode()
+        assert hashlib.sha256(payload).hexdigest() == GOLDEN_E2D_META[name], name

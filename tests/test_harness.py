@@ -7,12 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maximin_bandits import harness
+from maximin_bandits import core, harness
 from maximin_bandits.core import (
     ArmDistribution,
+    MAX_ENTRIES,
     CapacityError,
     NoiseSpec,
     TrialStreams,
+    _STREAM_ENTRIES,
+    block_rows,
     gap_matrix,
     to_json,
     trial_seed,
@@ -39,6 +42,8 @@ from maximin_bandits.harness import (
     witness_prober,
 )
 from maximin_bandits.learners import LearnerParams, descend_tree
+
+from _tree_oracle import optimal_arm_of
 
 
 def tree_config(**overrides) -> ExperimentConfig:
@@ -90,6 +95,12 @@ def test_build_function_class_unknown_spec():
         build_function_class({"constructor": "mystery"})
 
 
+@pytest.mark.parametrize("ctor", [[], {}, ["x"], 3])
+def test_build_function_class_names_a_constructor_that_is_not_a_string(ctor):
+    with pytest.raises(ValueError, match="class.constructor must be a string"):
+        build_function_class({"constructor": ctor})
+
+
 @pytest.mark.parametrize(
     "spec, key",
     [
@@ -107,6 +118,28 @@ def test_build_function_class_rejects_keys_its_form_does_not_read(spec, key):
 
 # ---------------------------------------------------------------------------
 # monte carlo
+
+
+#: learner, params key and value -> the count its trials name: alpha^2
+#: underflows to 0, or ln(2/delta) overflows, so the count is infinite
+EXTREME_PARAMS = [
+    ("empirical-mean", "alpha", 1e-320, "sample of 12 arms x inf queries each"),
+    ("empirical-mean", "delta", 5e-324, "witness draw count of inf"),
+    ("median-of-means", "alpha", 1e-320, "sample of 12 arms x inf queries each"),
+    ("median-of-means", "delta", 5e-324, "witness draw count of inf"),
+    ("tree-descent", "alpha", 1e-320, "sample of 3 arms x inf queries each"),
+    ("tree-descent", "delta", 5e-324, "per-node query count of inf"),
+    ("e2d", "alpha", 1e-320, "sample of 12 arms x inf queries each"),
+    ("e2d", "delta", 5e-324, "e2d branch count L of inf"),
+]
+
+
+@pytest.mark.parametrize("learner, key, value, message", EXTREME_PARAMS)
+def test_extreme_alpha_and_delta_fail_trials_with_a_named_count(learner, key, value, message):
+    params = replace(LearnerParams(alpha=0.2, delta=0.1, sigma=0.5, horizon=60), **{key: value})
+    result = monte_carlo(tree_config(learner=learner, params=params, trials=2))
+    assert [rec.error for rec in result.records] == [
+        f"{message} exceeds the cap of {MAX_ENTRIES} entries"] * 2
 
 
 def test_monte_carlo_deterministic_records():
@@ -132,7 +165,7 @@ def test_monte_carlo_fixed_true_function():
     cfg = tree_config(true_function=3, noise=NoiseSpec.deterministic(), trials=5)
     result = monte_carlo(cfg)
     for rec in result.records:
-        assert rec.output_arm == meta.optimal_arm_of(3)
+        assert rec.output_arm == optimal_arm_of(meta, 3)
         assert rec.success
 
 
@@ -405,7 +438,7 @@ def assert_same_report(got, want):
 @pytest.mark.parametrize("reps", [1, 2, 3])
 def test_certify_tree_descent_equals_the_per_trial_loop(monkeypatch, bucket_size, reps):
     # 333 trials: three chunks of 100, then a part chunk
-    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 100)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 100 * _STREAM_ENTRIES)
     fclass, meta = make_tree_class(2, bucket_size)
     seed = 10 * bucket_size + reps
     got = certify_lower_bound(fclass, tree_descent_prober(meta, reps), 0.2, 0.1, 333, seed)
@@ -415,7 +448,7 @@ def test_certify_tree_descent_equals_the_per_trial_loop(monkeypatch, bucket_size
 
 
 def test_certify_equals_the_per_trial_loop_over_a_full_chunk():
-    trials = harness._TRIAL_CHUNK + 5
+    trials = block_rows(_STREAM_ENTRIES) + 5
     fclass, meta = make_tree_class(3, 2)
     got = certify_lower_bound(fclass, tree_descent_prober(meta, 2), 0.2, 0.1, trials, 8)
     want = reference_certify(fclass, reference_tree_descent_prober(meta, 2), 0.2, 0.1, trials, 8)
@@ -424,13 +457,25 @@ def test_certify_equals_the_per_trial_loop_over_a_full_chunk():
 
 @pytest.mark.parametrize("trials", [1, 333])
 def test_certify_zero_query_probers_equal_the_per_trial_loop(monkeypatch, trials):
-    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 100)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 100 * _STREAM_ENTRIES)
     fclass, _ = make_tree_class(2, 2)
     p_star = gamma(fclass, 0.3).p_star
     for prober, reference in ((fixed_arm_prober(4), fixed_arm_prober(4)),
                               (witness_prober(p_star), reference_witness_prober(p_star))):
         got = certify_lower_bound(fclass, prober, 0.3, 0.1, trials, 5)
         assert_same_report(got, reference_certify(fclass, reference, 0.3, 0.1, trials, 5))
+
+
+def test_certify_derives_stream_words_only_for_a_prober_that_draws(monkeypatch):
+    derived = []
+    seed_words = core._seed_words
+    monkeypatch.setattr(core, "_seed_words", lambda seeds: derived.append(seeds.size)
+                        or seed_words(seeds))
+    fclass, _ = make_tree_class(2, 2)
+    certify_lower_bound(fclass, fixed_arm_prober(4), 0.3, 0.1, 1000, 5)
+    assert derived == []
+    certify_lower_bound(fclass, witness_prober(gamma(fclass, 0.3).p_star), 0.3, 0.1, 1000, 5)
+    assert sum(derived) == 1000
 
 
 def test_certify_memory_does_not_grow_with_trials():
@@ -472,7 +517,7 @@ def test_adaptivity_draws_the_trials_once(monkeypatch):
 def test_drawn_true_functions_equal_per_trial_generators():
     # one block of the batch draw and a part block
     config = tree_config(class_spec={"constructor": "tree", "depth": 3, "bucket_size": 3},
-                         trials=harness._TRIAL_CHUNK + 7)
+                         trials=block_rows(_STREAM_ENTRIES) + 7)
     fclass, _ = build_function_class(config.class_spec)
     seeds, true_functions = harness._draw_trials(config, fclass)
     assert seeds.tolist() == [trial_seed(99, i) for i in range(config.trials)]
@@ -544,6 +589,33 @@ def test_sweep_records_non_numeric_params_and_bad_true_function():
     errors = [cell["error"] for cell in sweep(cfg).cells]
     assert errors[0] == ""
     assert "true_function 4 out of range" in errors[1]
+
+
+#: grid key -> a valid value, then one whose count or variance is infinite
+EXTREME_GRIDS = {
+    "params.alpha": [0.2, 1e-320],
+    "params.delta": [0.1, 5e-324],
+    "noise.sigma": [0.3, 1e300],
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXTREME_GRIDS))
+def test_sweep_over_an_extreme_learner_input_writes_every_cell(key):
+    cfg = tree_config(learner="median-of-means", noise=NoiseSpec.heavy_tail(0.3),
+                      params=LearnerParams(alpha=0.2, delta=0.1, sigma=0.3), trials=2,
+                      grid={key: EXTREME_GRIDS[key]})
+    cells = sweep(cfg).cells
+    assert [cell[key] for cell in cells] == EXTREME_GRIDS[key]
+    # every trial of the second cell fails with its named error
+    assert [cell["success_rate"] for cell in cells] == [1.0, 0.0]
+    assert [cell["error"] for cell in cells] == ["", ""]
+
+
+def test_sweep_over_constructors_writes_a_cell_for_an_unhashable_one():
+    cells = sweep(tree_config(trials=2, grid={"class.constructor": [["x"], "tree"]})).cells
+    assert [cell["class.constructor"] for cell in cells] == [["x"], "tree"]
+    assert cells[0]["error"] == "class.constructor must be a string, got ['x']"
+    assert cells[1]["error"] == "" and cells[1]["success_rate"] == 1.0
 
 
 def test_sweep_records_a_class_over_the_cap():

@@ -6,11 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from maximin_bandits import core
 from maximin_bandits.core import (
     ArmDistribution,
     FunctionClass,
     Model,
     NoiseSpec,
+    Transcript,
+    block_rows,
     sample_rewards,
     to_json,
 )
@@ -24,7 +27,6 @@ from maximin_bandits.estimators import (
 from maximin_bandits import learners
 from maximin_bandits.games import gamma
 from maximin_bandits.learners import (
-    ORACLE_BLOCK,
     LearnerParams,
     OnlineRegressionOracle,
     _row_products,
@@ -40,6 +42,15 @@ from maximin_bandits.learners import (
     run_non_adaptive_uniform_trials,
     run_tree_descent,
     run_tree_descent_trials,
+)
+
+from _tree_oracle import (
+    bucket_arms_of,
+    function_index,
+    internal_arm_of,
+    leaf_of_function,
+    optimal_arm_of,
+    path_to_leaf,
 )
 
 
@@ -279,28 +290,28 @@ def test_tree_descent_deterministic_trace():
 def test_tree_descent_queries_only_on_path_and_bucket():
     fclass, meta = make_tree_class(3, 2)
     params = LearnerParams(alpha=0.2, delta=0.1)
-    model = Model(fclass, meta.function_index(5, 1), NoiseSpec.deterministic())
+    model = Model(fclass, function_index(meta, 5, 1), NoiseSpec.deterministic())
     t = run_tree_descent(meta, params, model, seed=0)
     path_arms = set()
-    path = meta.path_to_leaf(5)
+    path = path_to_leaf(meta, 5)
     for level in range(meta.depth):
-        path_arms.add(meta.internal_arm_of(path[:level]))
-    path_arms.update(meta.bucket_arms_of(5))
+        path_arms.add(internal_arm_of(meta, path[:level]))
+    path_arms.update(bucket_arms_of(meta, 5))
     assert set(np.unique(t.arms)) == path_arms
-    assert t.output_arm == meta.optimal_arm_of(meta.function_index(5, 1))
+    assert t.output_arm == optimal_arm_of(meta, function_index(meta, 5, 1))
 
 
 def path_descend_tree(meta, stage_mean, n_node, n_leaf):
     """Tree descent that keeps its bit path and rebuilds each node's arm from it."""
     path = []
     for _ in range(meta.depth):
-        mean = stage_mean(meta.internal_arm_of(path), n_node)
+        mean = stage_mean(internal_arm_of(meta, path), n_node)
         path.append(1 if mean >= 0.5 else 0)
     leaf = 0
     for bit in path:
         leaf = 2 * leaf + bit
     best_arm, best = -1, -math.inf
-    for arm in meta.bucket_arms_of(leaf):
+    for arm in bucket_arms_of(meta, leaf):
         estimate = stage_mean(arm, n_leaf)
         if estimate > best:
             best_arm, best = arm, estimate
@@ -321,7 +332,7 @@ def test_descend_tree_walks_the_heap_like_a_path_walk(depth, bucket_size):
 
             walks.append((descend(meta, stage_mean, 7, 3), calls))
         assert walks[0] == walks[1]
-        assert walks[0][0] == (meta.leaf_of_function(f), meta.optimal_arm_of(f))
+        assert walks[0][0] == (leaf_of_function(meta, f), optimal_arm_of(meta, f))
         assert len(walks[0][1]) == depth + bucket_size
 
 
@@ -333,7 +344,7 @@ def test_descend_tree_keeps_the_least_bucket_slot_on_ties(trials):
     estimate = 0.5 if trials is None else np.full(trials, 0.5)
     leaf, arm = descend_tree(meta, lambda arm, count: estimate, 1, 1)
     assert np.all(leaf == 3)
-    assert np.all(arm == meta.bucket_arms_of(3)[0])
+    assert np.all(arm == bucket_arms_of(meta, 3)[0])
 
 
 def test_tree_descent_bernoulli_succeeds_whp():
@@ -344,7 +355,7 @@ def test_tree_descent_bernoulli_succeeds_whp():
         f = i % 4
         model = Model(fclass, f, NoiseSpec.bernoulli())
         t = run_tree_descent(meta, params, model, seed=1000 + i)
-        wins += t.output_arm == meta.optimal_arm_of(f)
+        wins += t.output_arm == optimal_arm_of(meta, f)
     assert wins >= 45
 
 
@@ -417,7 +428,65 @@ def test_non_adaptive_rejects_negative_budget():
 
 
 # ---------------------------------------------------------------------------
-# trials as arrays: each batch entry against its single-trial function
+# trials as arrays: the kernels against the single-trial reference code
+
+# The two functions below are the single-trial tree descent and baseline as
+# they were before each became one trial of its chunk kernel: tree descent
+# draws one ``sample_rewards`` block per stage, the baseline draws its
+# positions, then one ``sample_rewards`` block for all of them.
+
+
+def reference_tree_descent(meta, params, model, seed):
+    n_node, n_leaf = learners._descent_counts(meta, params, model.function_class, model.noise)
+    rng = np.random.default_rng(seed)
+    stage_log = []
+    rewards_chunks = []
+
+    def stage_mean(arm, count):
+        block = sample_rewards(model, arm, count, rng)
+        stage_log.append((arm, count))
+        rewards_chunks.append(block)
+        return block.sum() / count  # the division np.mean does
+
+    leaf, winner = descend_tree(meta, stage_mean, n_node, n_leaf)
+    arms, counts = zip(*stage_log)
+    return Transcript(
+        learner_name="tree-descent",
+        seed=seed,
+        runs=np.array(arms, dtype=np.int64),
+        run_lengths=np.array(counts, dtype=np.int64),
+        rewards=np.concatenate(rewards_chunks),
+        output_arm=int(winner),
+        meta={"leaf": int(leaf), "per_node": n_node, "per_leaf_arm": n_leaf},
+    )
+
+
+def reference_non_adaptive_uniform(budget, reps_per_arm, model, seed):
+    learners._check_schedule(budget, reps_per_arm)
+    rng = np.random.default_rng(seed)
+    n_arms = model.function_class.n_arms
+    positions = rng.integers(0, n_arms, size=budget)
+    rewards = sample_rewards(model, positions, reps_per_arm, rng)
+    return Transcript(
+        learner_name="non-adaptive-uniform",
+        seed=seed,
+        runs=positions,
+        run_lengths=reps_per_arm,
+        rewards=rewards,
+        output_arm=int(learners._pooled_winners(positions[None], rewards, n_arms,
+                                                reps_per_arm)[0]),
+        meta={"budget": budget, "reps_per_arm": reps_per_arm},
+    )
+
+
+def assert_same_transcript(got, want):
+    assert (got.learner_name, got.seed) == (want.learner_name, want.seed)
+    assert got.runs.dtype == want.runs.dtype and got.runs.tobytes() == want.runs.tobytes()
+    assert type(got.run_lengths) is type(want.run_lengths)
+    assert np.asarray(got.run_lengths).tobytes() == np.asarray(want.run_lengths).tobytes()
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.output_arm == want.output_arm
+    assert got.meta == want.meta
 
 #: Interior means, so every noise kind but ``deterministic`` draws random rewards.
 INTERIOR = FunctionClass([
@@ -460,14 +529,25 @@ def assert_batch_matches_single(batch, single, n_functions, fixed):
 @pytest.mark.parametrize("kind", ["deterministic", "bernoulli"])
 def test_tree_descent_trials_match_single_trials(monkeypatch, kind, bucket_size, fixed, block):
     if block is not None:
-        monkeypatch.setattr(learners, "TRIAL_BLOCK", block)
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", block)
     fclass, meta = make_tree_class(3, bucket_size)
     params = LearnerParams(alpha=0.2, delta=0.1)
     noise = BATCH_NOISES[kind]
     assert_batch_matches_single(
         lambda fs, seeds: run_tree_descent_trials(meta, params, fclass, noise, fs, seeds),
-        lambda f, seed: run_tree_descent(meta, params, Model(fclass, f, noise), seed),
+        lambda f, seed: reference_tree_descent(meta, params, Model(fclass, f, noise), seed),
         fclass.n_functions, fixed)
+
+
+@pytest.mark.parametrize("bucket_size", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["deterministic", "bernoulli"])
+def test_tree_descent_transcript_equals_the_reference(kind, bucket_size):
+    fclass, meta = make_tree_class(3, bucket_size)
+    params = LearnerParams(alpha=0.2, delta=0.1)
+    for f in range(fclass.n_functions):
+        model = Model(fclass, f, BATCH_NOISES[kind])
+        assert_same_transcript(run_tree_descent(meta, params, model, 40 + f),
+                               reference_tree_descent(meta, params, model, 40 + f))
 
 
 @pytest.mark.parametrize("fixed", [False, True])
@@ -477,8 +557,18 @@ def test_non_adaptive_trials_match_single_trials(kind, budget, reps, fixed):
     noise = BATCH_NOISES[kind]
     assert_batch_matches_single(
         lambda fs, seeds: run_non_adaptive_uniform_trials(budget, reps, INTERIOR, noise, fs, seeds),
-        lambda f, seed: run_non_adaptive_uniform(budget, reps, Model(INTERIOR, f, noise), seed),
+        lambda f, seed: reference_non_adaptive_uniform(budget, reps, Model(INTERIOR, f, noise), seed),
         INTERIOR.n_functions, fixed)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("budget", [0, 12, 1000])
+@pytest.mark.parametrize("kind", sorted(BATCH_NOISES))
+def test_non_adaptive_transcript_equals_the_reference(kind, budget, reps):
+    for f in range(INTERIOR.n_functions):
+        model = Model(INTERIOR, f, BATCH_NOISES[kind])
+        assert_same_transcript(run_non_adaptive_uniform(budget, reps, model, 50 + f),
+                               reference_non_adaptive_uniform(budget, reps, model, 50 + f))
 
 
 def test_batch_entries_raise_the_single_trial_errors():
@@ -534,7 +624,8 @@ def test_batched_oracle_pass_matches_the_step_by_step_oracle(name):
         fclass = FunctionClass(rng.integers(0, 2, size=(12, 9)))
     else:
         fclass, _ = make_tree_class(int(name[-1]), 1)
-    J = 2 * ORACLE_BLOCK + 37
+    rows = block_rows(sum(fclass.means.shape))
+    J = 2 * rows + 37
     arms = rng.integers(0, fclass.n_arms, size=J)
     rewards = rng.random(J)
     q = rng.dirichlet(np.ones(fclass.n_arms), size=J)
@@ -551,7 +642,7 @@ def test_batched_oracle_pass_matches_the_step_by_step_oracle(name):
         oracle.update(arm, reward)
 
     blocks = list(oracle_weights(fclass.means, arms, rewards))
-    assert [len(w) for w in blocks] == [ORACLE_BLOCK, ORACLE_BLOCK, 37]
+    assert [len(w) for w in blocks] == [rows, rows, 37]
     batched = np.zeros(fclass.n_arms)
     start = 0
     for w in blocks:
@@ -615,7 +706,7 @@ def test_e2d_succeeds_under_deterministic_noise():
     for f in (0, 3):
         model = Model(fclass, f, NoiseSpec.deterministic())
         t = run_e2d(params, model, seed=f)
-        assert t.output_arm == meta.optimal_arm_of(f)
+        assert t.output_arm == optimal_arm_of(meta, f)
 
 
 def test_e2d_dec_too_large_skips_the_final_phase(monkeypatch):
